@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -142,13 +142,20 @@ def gauss_hermite(order: int) -> QuadratureRule:
 
     Nodes and weights come from the Golub-Welsch eigenproblem (numpy's
     hermgauss) and are symmetrized about zero so parity holds exactly; a rule
-    of order n integrates x^k exp(-x^2) exactly for k <= 2n - 1.
+    of order n integrates x^k exp(-x^2) exactly for k <= 2n - 1. Rules are
+    immutable, so each order is built once and the same object is returned
+    on every later call.
     """
     if order != int(order):
         raise DomainError(f"order must be an integer, got {order!r}")
     order = int(order)
     if not 1 <= order <= ORDER_MAX:
         raise CapabilityError(f"order {order} outside 1..{ORDER_MAX}")
+    return _build_gauss_hermite(order)
+
+
+@lru_cache(maxsize=ORDER_MAX)
+def _build_gauss_hermite(order: int) -> QuadratureRule:
     nodes, weights = np.polynomial.hermite.hermgauss(order)
     nodes = 0.5 * (nodes - nodes[::-1])
     weights = 0.5 * (weights + weights[::-1])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from .analysis import GridSpec
 from .errors import NumericIntegrityError
 from .hermite import gauss_hermite
 from .kinematics import Rapidity, rapidity_value
-from .oscillator import OscillatorState, psi_boosted
 
 __all__ = ["EIGENVALUE_FLOOR", "ReducedDensity", "entropy", "purity", "reduce"]
 
@@ -69,9 +69,16 @@ class ReducedDensity:
     def trace(self) -> float:
         return float(np.trace(self.matrix))
 
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        """eigvalsh of the folded matrix, ascending: solved once, read-only."""
+        lam = np.linalg.eigvalsh(self.matrix)
+        lam.setflags(write=False)
+        return lam
+
     def eigenvalues(self) -> np.ndarray:
-        """Spectrum of the folded matrix, largest first."""
-        return np.linalg.eigvalsh(self.matrix)[::-1]
+        """Spectrum of the folded matrix, largest first, as a writable copy."""
+        return self._spectrum[::-1].copy()
 
     def diagonal_density(self) -> np.ndarray:
         """rho(z, z): the longitudinal probability density on the grid."""
@@ -81,19 +88,26 @@ class ReducedDensity:
 def reduce(eta: Rapidity | float, grid: GridSpec, t_order: int = 64) -> ReducedDensity:
     """Trace the time coordinate out of the boosted ground state.
 
-    rho(z, z') = integral dt psi(z, t) psi(z', t), computed with a shifted,
-    scaled Gauss-Hermite rule that is exact for this Gaussian integrand: at
-    fixed (z, z') the integrand is a Gaussian in t centered on
-    (z + z')/2 * tanh(2 eta) with decay rate cosh(2 eta). The kernel is
-    discretized on `grid` and trapezoid weights are folded in symmetrically.
-    A grid narrower than +-4 sigma_z is recorded as a warning on the result
-    rather than raised.
+    rho(z, z') = integral dt psi(z, t) psi(z', t). At fixed (z, z') the
+    integrand is a Gaussian in t centered on (z + z')/2 * tanh(2 eta) with
+    decay rate C = cosh(2 eta); on the shifted, scaled Gauss-Hermite nodes
+    t = (z + z')/2 * tanh(2 eta) + x_k / sqrt(C) it factorizes exactly into
+
+        psi(z, t) psi(z', t) = (1/pi) exp(-x_k^2) exp(-(z + z')^2/(4C) - C(z - z')^2/4),
+
+    so the whole n x n kernel is built in one pass as
+    (Q/pi) exp(-(z + z')^2/(4C) - C(z - z')^2/4) with
+    Q = (1/sqrt(C)) sum_k w_k exp(-x_k^2), w_k the rule's exp_weights.
+    `t_order` still selects and validates that rule (1..256); the t-integral
+    is exact at every order, so the order changes only rounding. The kernel
+    is symmetric by construction, and trapezoid weights are folded in
+    symmetrically. A grid narrower than +-4 sigma_z is recorded as a warning
+    on the result rather than raised.
     """
     e = rapidity_value(eta)
-    state = OscillatorState(eta=e)
     z = grid.points()
-    n = z.size
-    sigma_z = math.sqrt(0.5 * math.cosh(2.0 * e))
+    c = math.cosh(2.0 * e)
+    sigma_z = math.sqrt(0.5 * c)
     warnings = []
     span = 4.0 * sigma_z
     if grid.min > -span + 1e-12 or grid.max < span - 1e-12:
@@ -101,23 +115,23 @@ def reduce(eta: Rapidity | float, grid: GridSpec, t_order: int = 64) -> ReducedD
             f"grid [{grid.min:.6g}, {grid.max:.6g}] spans less than +-4 sigma_z "
             f"= +-{span:.6g}; trace and spectrum may be truncated")
     rule = gauss_hermite(t_order)
-    x, w = rule.nodes, rule.exp_weights
-    scale = 1.0 / math.sqrt(math.cosh(2.0 * e))
-    shift = math.tanh(2.0 * e)
-    kernel = np.empty((n, n))
-    for i in range(n):
-        centers = 0.5 * shift * (z[i] + z)
-        t = centers[:, None] + scale * x[None, :]
-        kernel[i] = scale * np.sum(
-            w * psi_boosted(state, z[i], t) * psi_boosted(state, z[:, None], t),
-            axis=1,
-        )
-    kernel = 0.5 * (kernel + kernel.T)
-    weights = np.full(n, grid.step)
+    q = float(np.sum(rule.exp_weights * np.exp(-rule.nodes * rule.nodes))) / math.sqrt(c)
+    # exponent -(z + z')^2/(4C) - C(z - z')^2/4, built in place in two n x n buffers
+    kernel = np.add.outer(z, z)
+    np.square(kernel, out=kernel)
+    kernel *= -0.25 / c
+    diff = np.subtract.outer(z, z)
+    np.square(diff, out=diff)
+    diff *= -0.25 * c
+    kernel += diff
+    del diff
+    np.exp(kernel, out=kernel)
+    kernel *= q / math.pi
+    weights = np.full(z.size, grid.step)
     weights[0] = weights[-1] = 0.5 * grid.step
     sqrt_w = np.sqrt(weights)
-    matrix = sqrt_w[:, None] * kernel * sqrt_w[None, :]
-    matrix = 0.5 * (matrix + matrix.T)
+    matrix = np.outer(sqrt_w, sqrt_w)
+    matrix *= kernel
     return ReducedDensity(grid=grid, eta=e, kernel=kernel, weights=weights,
                           matrix=matrix, warnings=tuple(warnings))
 
@@ -128,7 +142,7 @@ def entropy(rho: ReducedDensity) -> float:
     Eigenvalues below the floor are discretization noise and are dropped;
     an eigenvalue below -1e-8 means the construction is broken and raises.
     """
-    lam = np.linalg.eigvalsh(rho.matrix)
+    lam = rho._spectrum
     smallest = float(lam[0])
     if smallest < NEGATIVITY_TOLERANCE:
         raise NumericIntegrityError(

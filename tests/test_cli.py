@@ -190,6 +190,23 @@ class TestOtherCommands:
         assert ratio == pytest.approx(math.tanh(1.0) ** 2, abs=1e-3)
         assert abs(results[1]["trace"] - 1.0) < 1e-6
 
+    def test_entropy_scan_order_cap(self, tmp_path):
+        code, _ = run_cli(["entropy-scan", "--etas", "1", "--order", "257"], tmp_path)
+        assert code == 1
+
+    def test_entropy_scan_t_integral_is_exact_at_every_order(self, tmp_path):
+        # the integrand factorizes on the shifted nodes, so a one-node rule
+        # already gives the default order's kernel up to rounding
+        args = ["entropy-scan", "--etas", "0,0.7,2", "--format", "json"]
+        _, default = run_cli(args, tmp_path, "default.json")
+        code, one = run_cli(args + ["--order", "1"], tmp_path, "one.json")
+        assert code == 0
+        want = json.loads(default.read_text())["results"]
+        got = json.loads(one.read_text())["results"]
+        for row, ref in zip(got, want):
+            assert row["entropy"] == pytest.approx(ref["entropy"], rel=1e-12, abs=1e-12)
+            assert row["purity"] == pytest.approx(ref["purity"], rel=1e-12, abs=1e-12)
+
 
 class TestConfigFile:
     def test_file_supplies_flags(self, tmp_path):

@@ -154,6 +154,20 @@ class TestGaussHermite:
         with pytest.raises(DomainError):
             gauss_hermite(2.5)
 
+    def test_rule_is_built_once_per_order(self):
+        rule = gauss_hermite(64)
+        assert gauss_hermite(64) is rule
+        assert gauss_hermite(64.0) is rule
+        assert gauss_hermite(np.int64(64)) is rule
+        assert gauss_hermite(8) is not rule
+        # a rejected order never reaches the cache, so it keeps raising
+        for _ in range(2):
+            for bad in (0, 257):
+                with pytest.raises(CapabilityError):
+                    gauss_hermite(bad)
+            with pytest.raises(DomainError):
+                gauss_hermite(2.5)
+
     def test_rule_arrays_are_frozen(self):
         rule = gauss_hermite(8)
         with pytest.raises(ValueError):

@@ -10,7 +10,9 @@ from covosc import (
     OscillatorState,
     ReducedDensity,
     entropy,
+    gauss_hermite,
     marginal,
+    psi_boosted,
     purity,
     reduce,
 )
@@ -58,7 +60,44 @@ def kernel_closed_form(eta, z, zp):
     return pref * np.exp(expo)
 
 
+def kernel_paper_form(eta, z, zp):
+    """Oracle: the paper's rho(z, z') = exp(-(z+z')^2/(4C) - C(z-z')^2/4) / sqrt(pi C)."""
+    c2 = math.cosh(2.0 * eta)
+    return np.exp(-(z + zp) ** 2 / (4.0 * c2) - c2 * (z - zp) ** 2 / 4.0) / math.sqrt(math.pi * c2)
+
+
+def kernel_by_rows(eta, z, t_order):
+    """Oracle: rho(z_i, z_j) row by row, from psi_boosted on shifted Gauss-Hermite nodes.
+
+    Each row integrates psi(z_i, t) psi(z_j, t) over t on the nodes
+    t = (z_i + z_j)/2 * tanh(2 eta) + x_k / sqrt(cosh 2 eta), without using
+    the factorized form of the integrand.
+    """
+    state = OscillatorState(eta=eta)
+    rule = gauss_hermite(t_order)
+    x, w = rule.nodes, rule.exp_weights
+    scale = 1.0 / math.sqrt(math.cosh(2.0 * eta))
+    shift = math.tanh(2.0 * eta)
+    kernel = np.empty((z.size, z.size))
+    for i in range(z.size):
+        t = (0.5 * shift * (z[i] + z))[:, None] + scale * x[None, :]
+        kernel[i] = scale * np.sum(
+            w * psi_boosted(state, z[i], t) * psi_boosted(state, z[:, None], t), axis=1)
+    return kernel
+
+
 class TestReduce:
+    @pytest.mark.parametrize("t_order", [1, 8, 64])
+    @pytest.mark.parametrize("eta", [-1.3, 0.0, 0.7, 2.0])
+    def test_kernel_matches_row_quadrature_and_paper_form(self, eta, t_order):
+        rho = reduce(eta, default_grid(eta, points=60), t_order)
+        z = rho.grid.points()
+        # entries far off the diagonal underflow, so the tolerance is relative
+        # to the largest entry as well as to each entry
+        for want in (kernel_by_rows(eta, z, t_order),
+                     kernel_paper_form(eta, z[:, None], z[None, :])):
+            np.testing.assert_allclose(rho.kernel, want, rtol=1e-13, atol=1e-13 * want.max())
+
     def test_kernel_matches_analytic_integral(self):
         for eta in (0.0, 1.0):
             rho = reduce(eta, default_grid(eta, points=80), 64)
@@ -113,6 +152,36 @@ class TestReduce:
     def test_t_order_cap(self):
         with pytest.raises(CapabilityError):
             reduce(1.0, default_grid(1.0), 257)
+
+
+class TestSpectrum:
+    def test_one_eigensolve_per_density(self, monkeypatch):
+        calls = []
+        solve = np.linalg.eigvalsh
+
+        def counting(matrix):
+            calls.append(matrix.shape)
+            return solve(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        rho = reduce(1.0, default_grid(1.0, points=80), 64)
+        first = entropy(rho)
+        rho.eigenvalues()
+        assert entropy(rho) == first
+        rho.eigenvalues()
+        assert len(calls) == 1
+        entropy(reduce(0.5, default_grid(0.5, points=80), 64))
+        assert len(calls) == 2
+
+    def test_eigenvalues_is_a_writable_copy(self):
+        rho = reduce(1.0, default_grid(1.0, points=80), 64)
+        before = entropy(rho)
+        lam = rho.eigenvalues()
+        assert lam.flags.writeable
+        assert np.all(np.diff(lam) <= 0.0)
+        lam[:] = 0.5
+        assert rho.eigenvalues()[0] != 0.5
+        assert entropy(rho) == before
 
 
 class TestEntropy:
