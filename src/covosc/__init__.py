@@ -55,7 +55,7 @@ from .oscillator import (
     psi_rest,
     separation_from_constituents,
 )
-from .rest_of_universe import ReducedDensity, entropy, purity, reduce
+from .rest_of_universe import ReducedDensity, entropy, purity, reduce, thermal_row
 
 __version__ = "0.1.0"
 
@@ -106,5 +106,6 @@ __all__ = [
     "render_grid",
     "separation_from_constituents",
     "squeeze_lightcone",
+    "thermal_row",
     "to_lightcone",
 ]

@@ -152,10 +152,9 @@ def _build_parser() -> _Parser:
     sp.add_argument("--order", type=int, default=None)
     common(sp)
 
-    sp = sub.add_parser("entropy-scan", help="entropy/purity of the reduced density per rapidity")
+    sp = sub.add_parser("entropy-scan",
+                        help="exact entropy/purity/spectrum of the reduced density per rapidity")
     sp.add_argument("--etas", type=_parse_etas, default=None)
-    grid_flags(sp)
-    sp.add_argument("--order", type=int, default=None, help="time-axis quadrature order")
     common(sp)
 
     return parser
@@ -358,25 +357,7 @@ def _cmd_parton_scan(cfg: RunConfig):
 
 
 def _cmd_entropy_scan(cfg: RunConfig):
-    rows = []
-    for eta in _require_etas(cfg):
-        sigma_z = math.sqrt(0.5 * math.cosh(2.0 * float(eta)))
-        # +-6 sigma_z keeps grid-truncation error well below the entropy and
-        # purity tolerances; 400 points resolves the unit-width kernel ridge
-        if cfg.min is not None or cfg.max is not None or cfg.step is not None:
-            spec = _grid_spec(cfg, 6.0 * sigma_z, default_points=400)
-        else:
-            spec = GridSpec.symmetric(6.0 * sigma_z, 400)
-        rho = rest_of_universe.reduce(eta, spec, t_order=cfg.order)
-        spectrum = rho.eigenvalues()
-        rows.append([
-            rho.eta,
-            rest_of_universe.entropy(rho),
-            rest_of_universe.purity(rho),
-            spectrum[0],
-            spectrum[1] if spectrum.size > 1 else 0.0,
-            rho.trace,
-        ])
+    rows = [rest_of_universe.thermal_row(eta) for eta in _require_etas(cfg)]
     return ["eta", "entropy", "purity", "lambda_0", "lambda_1", "trace"], rows
 
 

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 from types import SimpleNamespace
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covosc import analysis, cli
+from covosc import ETA_MAX, analysis, cli, rest_of_universe
 
 LN2 = math.log(2.0)
 
@@ -19,6 +25,32 @@ def run_cli(args, tmp_path=None, name=None):
         args = list(args) + ["--output", str(out)]
     code = cli.main(list(args))
     return code, out
+
+
+def textbook_row(eta):
+    """Oracle: the paper's forms of the reduced ground state, in mpmath.
+
+    entropy = cosh^2 ln cosh^2 - sinh^2 ln sinh^2 cancels about 0.87 |eta|
+    digits, so it is evaluated at 100 digits to keep 50 after cancellation.
+    """
+    with mpmath.workdps(100):
+        e = mpmath.mpf(eta)
+        c2, s2 = mpmath.cosh(e) ** 2, mpmath.sinh(e) ** 2
+        s_ln_s = s2 * mpmath.log(s2) if s2 else mpmath.mpf(0)
+        return {
+            "entropy": float(c2 * mpmath.log(c2) - s_ln_s),
+            "purity": float(1 / mpmath.cosh(2 * e)),
+            "lambda_0": float(mpmath.sech(e) ** 2),
+            "lambda_1": float(mpmath.tanh(e) ** 2 * mpmath.sech(e) ** 2),
+        }
+
+
+def assert_matches_textbook(row, eta=None):
+    """Relative agreement to 1e-12, absolute for values below 1; trace exactly 1."""
+    want = textbook_row(row["eta"] if eta is None else eta)
+    for key, value in want.items():
+        assert abs(row[key] - value) <= 1e-12 * max(1.0, abs(value)), (key, row, want)
+    assert row["trace"] == 1.0
 
 
 def parse_csv(path):
@@ -190,22 +222,53 @@ class TestOtherCommands:
         assert ratio == pytest.approx(math.tanh(1.0) ** 2, abs=1e-3)
         assert abs(results[1]["trace"] - 1.0) < 1e-6
 
-    def test_entropy_scan_order_cap(self, tmp_path):
-        code, _ = run_cli(["entropy-scan", "--etas", "1", "--order", "257"], tmp_path)
-        assert code == 1
+    def test_entropy_scan_removed_flags_exit_1(self, tmp_path, capsys):
+        # the exact spectrum needs no grid or t-rule, so their flags are gone
+        # rather than accepted and ignored
+        for flag in ("--min=-3", "--max=3", "--step=0.1", "--order=64"):
+            code, _ = run_cli(["entropy-scan", "--etas", "1", flag], tmp_path)
+            assert code == 1, flag
+            assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_entropy_scan_t_integral_is_exact_at_every_order(self, tmp_path):
-        # the integrand factorizes on the shifted nodes, so a one-node rule
-        # already gives the default order's kernel up to rounding
-        args = ["entropy-scan", "--etas", "0,0.7,2", "--format", "json"]
-        _, default = run_cli(args, tmp_path, "default.json")
-        code, one = run_cli(args + ["--order", "1"], tmp_path, "one.json")
+    def test_entropy_scan_exact_at_large_rapidity(self, tmp_path):
+        # a fixed 400-point grid read 4.923 at both eta = 4 and eta = 6
+        code, out = run_cli(["entropy-scan", "--etas=2.5,4,6,-6", "--format", "json"],
+                            tmp_path, "ent.json")
         assert code == 0
-        want = json.loads(default.read_text())["results"]
-        got = json.loads(one.read_text())["results"]
-        for row, ref in zip(got, want):
-            assert row["entropy"] == pytest.approx(ref["entropy"], rel=1e-12, abs=1e-12)
-            assert row["purity"] == pytest.approx(ref["purity"], rel=1e-12, abs=1e-12)
+        results = json.loads(out.read_text())["results"]
+        assert [row["eta"] for row in results] == [2.5, 4.0, 6.0, -6.0]
+        for row in results:
+            assert_matches_textbook(row)
+        assert results[1]["entropy"] == 7.61370567639183
+        mirrored = dict(results[3], eta=6.0)
+        assert mirrored == results[2]
+
+    @given(st.lists(st.floats(min_value=-ETA_MAX, max_value=ETA_MAX), min_size=1, max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_entropy_scan_closed_forms_over_the_domain(self, etas):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["entropy-scan", "--etas=" + ",".join(map(repr, etas)),
+                             "--format", "json"])
+        assert code == 0
+        results = json.loads(out.getvalue())["results"]
+        assert [row["eta"] for row in results] == [float(f"{e:.15g}") for e in etas]
+        for row, eta in zip(results, etas):
+            assert_matches_textbook(row, eta)
+
+    def test_entropy_scan_past_the_cap_exits_1(self, tmp_path, capsys):
+        code, _ = run_cli(["entropy-scan", "--etas=50.5"], tmp_path)
+        assert code == 1
+        assert "cap" in capsys.readouterr().err
+
+    def test_entropy_scan_builds_no_grid(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("entropy-scan must not discretize rho(z, z')")
+
+        monkeypatch.setattr(rest_of_universe, "reduce", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        code, _ = run_cli(["entropy-scan", "--etas", "0,1,4"], tmp_path)
+        assert code == 0
 
 
 class TestConfigFile:

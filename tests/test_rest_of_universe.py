@@ -15,6 +15,7 @@ from covosc import (
     psi_boosted,
     purity,
     reduce,
+    thermal_row,
 )
 
 LN2 = math.log(2.0)
@@ -272,3 +273,37 @@ class TestReducedDensityValidation:
                 weights=np.ones(2),
                 matrix=np.eye(2),
             )
+
+
+class TestThermalRow:
+    @pytest.mark.parametrize("eta", [-2.0, -0.6, 0.0, LN2, 1.0, 1.5, 2.0])
+    def test_matches_grid_spectrum(self, eta):
+        # the +-6 sigma_z, 400-point grid resolves the spectrum up to |eta| ~ 2,
+        # so it checks the closed forms at the acceptance tolerances there
+        rho = reduce(eta, default_grid(eta, spread=6.0), 64)
+        got_eta, got_entropy, got_purity, lambda_0, lambda_1, trace = thermal_row(eta)
+        lam = rho.eigenvalues()
+        assert got_eta == eta
+        assert got_entropy == pytest.approx(entropy(rho), abs=1e-3)
+        assert got_purity == pytest.approx(purity(rho), abs=1e-4)
+        assert lambda_0 == pytest.approx(lam[0], abs=1e-4)
+        assert lambda_1 == pytest.approx(lam[1], abs=1e-4)
+        assert trace == 1.0
+
+    @pytest.mark.parametrize("eta", [-3.0, -0.4, 0.0, 0.7, 1.0, 2.0, 2.5, 3.0])
+    def test_matches_summed_spectrum(self, eta):
+        _, got_entropy, got_purity, lambda_0, lambda_1, _ = thermal_row(eta)
+        assert got_entropy == pytest.approx(entropy_series(abs(eta)), rel=1e-12, abs=1e-12)
+        lam = geometric_spectrum(eta, 2)
+        assert lambda_0 == pytest.approx(lam[0], rel=1e-12)
+        assert lambda_1 == pytest.approx(lam[1], rel=1e-12, abs=1e-300)
+        assert got_purity == pytest.approx(1.0 / math.cosh(2.0 * eta), rel=1e-12)
+
+    def test_finite_and_even_over_the_domain(self):
+        for eta in (1e-300, 1e-160, 1e-8, 0.5, 20.0, 50.0):
+            row, mirrored = thermal_row(eta), thermal_row(-eta)
+            assert all(math.isfinite(v) for v in row)
+            assert mirrored == (-eta,) + row[1:]
+        # the thermal entropy approaches 2 eta + 1 - 2 ln 2 for large eta
+        assert thermal_row(50.0)[1] == pytest.approx(101.0 - 2.0 * LN2, rel=1e-14)
+        assert thermal_row(0.0)[1:] == (0.0, 1.0, 1.0, 0.0, 1.0)
