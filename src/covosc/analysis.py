@@ -30,6 +30,7 @@ __all__ = [
     "DEFAULT_ORDER",
     "FieldGrid",
     "GridSpec",
+    "MAX_GRID_CELLS",
     "PartonScanRow",
     "PdeResidualReport",
     "marginal",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 MAX_POINTS_PER_AXIS = 10_000
+# render_grid and its CLI text take about 250 B of peak memory per cell, so
+# this caps a dense dump near 250 MB; it is checked before anything is evaluated
+MAX_GRID_CELLS = 1001**2
 DEFAULT_ORDER = 64
 DEFAULT_FD_STEP = 0.01
 
@@ -301,8 +305,14 @@ def render_grid(state: OscillatorState, grid: GridSpec,
 
     representation "spacetime" samples psi on (z, t); "momentum" samples phi
     on (q_z, q_0) and is limited to the longitudinal ground state.
-    values[i, j] corresponds to (first_axis[i], second_axis[j]).
+    values[i, j] corresponds to (first_axis[i], second_axis[j]). Grids of more
+    than MAX_GRID_CELLS cells are refused with a ConfigError.
     """
+    cells = grid.npoints**2
+    if cells > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"grid of {grid.npoints}^2 = {cells} cells exceeds the budget of "
+            f"{MAX_GRID_CELLS} cells")
     pts = grid.points()
     first = pts[:, None]
     second = pts[None, :]

@@ -5,6 +5,10 @@ interactive display. Runs are deterministic: the same resolved configuration
 produces byte-identical output, numeric text is rendered with 15 significant
 digits, and the full resolved configuration is embedded in every file.
 
+Results are rendered column-wise with the same 15-significant-digit text:
+each float column is checked for NaN/Inf once, and a grid axis is formatted
+once per axis point rather than once per cell.
+
 Exit status: 0 on success, 1 on domain/configuration errors, 2 when a
 numeric integrity check fails (non-finite output, broken spectrum, ...).
 """
@@ -16,20 +20,18 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import analysis, kinematics, rest_of_universe
 from .analysis import GridSpec
 from .errors import ConfigError, CovoscError, NumericIntegrityError
-from .oscillator import OscillatorState, phi_momentum, psi_boosted
+from .oscillator import OscillatorState
 
 __all__ = ["RunConfig", "main", "run"]
-
-THREADS_ENV = "COVOSC_THREADS"
 
 _DEFAULTS = {
     "eta": 0.0,
@@ -74,7 +76,6 @@ class RunConfig:
     representation: str = "spacetime"
     format: str = "csv"
     output: str | None = None
-    threads: int = 1
 
 
 class _Parser(argparse.ArgumentParser):
@@ -225,14 +226,14 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if name in _CHOICES and value is not None and value not in _CHOICES[name]:
             raise ConfigError(f"{name} must be one of {_CHOICES[name]}, got {value!r}")
         resolved[name] = value
-    threads_raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        threads = int(threads_raw)
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {threads_raw!r}") from None
-    if threads < 1:
-        raise ConfigError(f"{THREADS_ENV} must be >= 1, got {threads}")
-    return RunConfig(command=args.command, threads=threads, **resolved)
+    return RunConfig(command=args.command, **resolved)
+
+
+class _Indexed(NamedTuple):
+    """A result column given by its distinct values and, per row, which one."""
+
+    values: np.ndarray
+    index: np.ndarray
 
 
 def _grid_spec(cfg: RunConfig, half_width: float, default_points: int) -> GridSpec:
@@ -249,20 +250,16 @@ def _require_etas(cfg: RunConfig) -> tuple[float, ...]:
 
 
 def _cmd_boost(cfg: RunConfig):
-    etas = cfg.etas if cfg.etas is not None else (cfg.eta,)
-    columns = ["eta", "beta", "cosh_eta", "sinh_eta", "exp_eta", "exp_neg_eta"]
-    rows = []
-    for eta in etas:
-        e = kinematics.rapidity_value(eta)
-        rows.append([
-            e,
-            kinematics.beta_from_rapidity(e).beta,
-            math.cosh(e),
-            math.sinh(e),
-            math.exp(e),
-            math.exp(-e),
-        ])
-    return columns, rows
+    etas = [kinematics.rapidity_value(e)
+            for e in (cfg.etas if cfg.etas is not None else (cfg.eta,))]
+    return {
+        "eta": etas,
+        "beta": [kinematics.beta_from_rapidity(e).beta for e in etas],
+        "cosh_eta": [math.cosh(e) for e in etas],
+        "sinh_eta": [math.sinh(e) for e in etas],
+        "exp_eta": [math.exp(e) for e in etas],
+        "exp_neg_eta": [math.exp(-e) for e in etas],
+    }
 
 
 def _state_half_width(state: OscillatorState) -> float:
@@ -271,38 +268,18 @@ def _state_half_width(state: OscillatorState) -> float:
     return 4.0 * stretch * math.sqrt((state.n_z + 1.0) / 2.0)
 
 
-def _render_rows(state: OscillatorState, spec: GridSpec, representation: str,
-                 threads: int) -> analysis.FieldGrid:
-    if threads <= 1:
-        return analysis.render_grid(state, spec, representation)
-    # row-chunked fan-out; elementwise evaluation makes the bytes identical
-    # to the single-threaded result regardless of the partitioning
-    pts = spec.points()
-    chunks = np.array_split(np.arange(pts.size), min(threads, pts.size))
-    sample = psi_boosted if representation == "spacetime" else phi_momentum
-
-    def evaluate(idx):
-        return sample(state, pts[idx][:, None], pts[None, :])
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(evaluate, chunks))
-    values = np.vstack(parts)
-    axes = ("z", "t") if representation == "spacetime" else ("q_z", "q_0")
-    return analysis.FieldGrid(specs=(spec, spec), axes=axes, values=values)
-
-
 def _cmd_grid(cfg: RunConfig):
     state = OscillatorState(cfg.n_z, cfg.n_x, cfg.n_y, cfg.eta)
     spec = _grid_spec(cfg, _state_half_width(state), default_points=61)
-    field = _render_rows(state, spec, cfg.representation, cfg.threads)
-    columns = list(field.axes) + (["psi"] if cfg.representation == "spacetime" else ["phi"])
-    first = field.points(0)
-    second = field.points(1)
-    rows = []
-    for i, a in enumerate(first):
-        for j, b in enumerate(second):
-            rows.append([a, b, field.values[i, j]])
-    return columns, rows
+    field = analysis.render_grid(state, spec, cfg.representation)
+    first, second = field.axes
+    n = spec.npoints
+    rows = np.arange(n)
+    return {
+        first: _Indexed(field.points(0), np.repeat(rows, n)),
+        second: _Indexed(field.points(1), np.tile(rows, n)),
+        "psi" if cfg.representation == "spacetime" else "phi": field.values.ravel(),
+    }
 
 
 def _cmd_marginal(cfg: RunConfig):
@@ -316,18 +293,18 @@ def _cmd_marginal(cfg: RunConfig):
     half = 4.0 * sigma * math.sqrt(state.n_z + 1.0)
     spec = _grid_spec(cfg, half, default_points=201)
     field = analysis.marginal(state, cfg.axis, spec, cfg.order)
-    rows = [[c, d] for c, d in zip(field.points(), field.values)]
-    return [cfg.axis, "density"], rows
+    return {cfg.axis: field.points(), "density": field.values}
 
 
 def _cmd_overlap(cfg: RunConfig):
     etas = _require_etas(cfg)
     reference = OscillatorState(cfg.n_z, 0, 0, etas[0])
-    rows = []
-    for eta in etas:
-        value = analysis.overlap(OscillatorState(cfg.n_z, 0, 0, eta), reference, cfg.order)
-        rows.append([etas[0], eta, value])
-    return ["eta_ref", "eta", "overlap"], rows
+    return {
+        "eta_ref": [etas[0]] * len(etas),
+        "eta": etas,
+        "overlap": [analysis.overlap(OscillatorState(cfg.n_z, 0, 0, eta), reference, cfg.order)
+                    for eta in etas],
+    }
 
 
 def _cmd_verify(cfg: RunConfig):
@@ -340,25 +317,22 @@ def _cmd_verify(cfg: RunConfig):
     step = cfg.step if cfg.step is not None else 0.02
     spec = GridSpec(lo, hi, step)
     report = analysis.pde_residual(state, spec, cfg.fd_step)
-    norm_value = analysis.norm(state, cfg.order)
-    columns = ["n_z", "eta", "lambda", "rayleigh_quotient", "max_residual", "norm"]
-    rows = [[state.n_z, state.eta, report.eigenvalue, report.rayleigh_quotient,
-             report.max_rel_residual, norm_value]]
-    return columns, rows
+    names = ("n_z", "eta", "lambda", "rayleigh_quotient", "max_residual", "norm")
+    row = (state.n_z, state.eta, report.eigenvalue, report.rayleigh_quotient,
+           report.max_rel_residual, analysis.norm(state, cfg.order))
+    return {name: [value] for name, value in zip(names, row)}
 
 
 def _cmd_parton_scan(cfg: RunConfig):
-    rows = [
-        [r.eta, r.sigma_u, r.sigma_v, r.sigma_z, r.sigma_qz, r.aspect, r.time_dilation]
-        for r in analysis.parton_scan(_require_etas(cfg), cfg.order)
-    ]
-    columns = ["eta", "sigma_u", "sigma_v", "sigma_z", "sigma_qz", "aspect", "time_dilation"]
-    return columns, rows
+    rows = analysis.parton_scan(_require_etas(cfg), cfg.order)
+    names = ("eta", "sigma_u", "sigma_v", "sigma_z", "sigma_qz", "aspect", "time_dilation")
+    return {name: [getattr(r, name) for r in rows] for name in names}
 
 
 def _cmd_entropy_scan(cfg: RunConfig):
     rows = [rest_of_universe.thermal_row(eta) for eta in _require_etas(cfg)]
-    return ["eta", "entropy", "purity", "lambda_0", "lambda_1", "trace"], rows
+    names = ("eta", "entropy", "purity", "lambda_0", "lambda_1", "trace")
+    return dict(zip(names, zip(*rows)))
 
 
 _DISPATCH = {
@@ -372,55 +346,70 @@ _DISPATCH = {
 }
 
 
-def _quantize(value):
-    """Round floats to 15 significant digits; reject non-finite values."""
-    if isinstance(value, (bool, int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        f = float(value)
-        if not math.isfinite(f):
-            raise NumericIntegrityError(f"non-finite value {f!r} in results")
-        return float(f"{f:.15g}")
-    return value
+def _quantize(name: str, values) -> list:
+    """Values of one column as written: ints as they are, floats at 15 significant digits.
+
+    Rounds position by position, never by value, so -0.0 stays -0.0.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return values.tolist()
+    values = values.astype(float, copy=False)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise NumericIntegrityError(f"non-finite value {values[~finite][0]!r} in {name}")
+    return [float(f"{x:.15g}") for x in values.tolist()]
 
 
-def _text(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, (tuple, list)):
-        return ",".join(_text(v) for v in value)
-    return str(value)
+def _cells(table: dict, text: bool) -> list[list]:
+    """Every column of table expanded to one entry per row.
+
+    Each distinct value is quantized, and for text written with repr, once.
+    """
+    cells = []
+    for name, column in table.items():
+        values, index = column if isinstance(column, _Indexed) else (column, None)
+        out = _quantize(name, values)
+        if text:
+            out = list(map(repr, out))
+        if index is not None:
+            out = np.array(out, dtype=object)[index].tolist()
+        cells.append(out)
+    return cells
 
 
 def _config_dict(cfg: RunConfig) -> dict:
     data = asdict(cfg)
     # the embedded config describes the computation, so identical requests
-    # produce byte-identical files; where the file lands and how work was
-    # partitioned do not belong (thread count never changes the values)
+    # produce byte-identical files; where the file lands does not belong
     del data["output"]
-    del data["threads"]
     for key, value in data.items():
         if isinstance(value, tuple):
-            data[key] = [_quantize(v) for v in value]
-        else:
-            data[key] = _quantize(value)
+            data[key] = _quantize(key, value)
+        elif isinstance(value, float):
+            (data[key],) = _quantize(key, [value])
     return data
 
 
-def _render_csv(cfg: RunConfig, columns, rows) -> str:
+def _echo(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ",".join(map(repr, value))
+    return str(value)
+
+
+def _render_csv(cfg: RunConfig, table: dict) -> str:
     lines = [f"# covosc {cfg.command}"]
     for key, value in _config_dict(cfg).items():
-        lines.append(f"# {key} = {_text(value)}")
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_text(_quantize(v)) for v in row))
+        lines.append(f"# {key} = {_echo(value)}")
+    lines.append(",".join(table))
+    lines.extend(map(",".join, zip(*_cells(table, text=True))))
     return "\n".join(lines) + "\n"
 
 
-def _render_json(cfg: RunConfig, columns, rows) -> str:
-    results = [dict(zip(columns, (_quantize(v) for v in row))) for row in rows]
+def _render_json(cfg: RunConfig, table: dict) -> str:
+    results = [dict(zip(table, row)) for row in zip(*_cells(table, text=False))]
     payload = {"config": _config_dict(cfg), "results": results}
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
@@ -441,10 +430,11 @@ def run(cfg: RunConfig) -> str:
         command = _DISPATCH[cfg.command]
     except KeyError:
         raise ConfigError(f"unknown command {cfg.command!r}") from None
-    columns, rows = command(cfg)
+    # a table maps each column name to its values: a 1-D sequence or an _Indexed
+    table = command(cfg)
     if cfg.format == "json":
-        return _render_json(cfg, columns, rows)
-    return _render_csv(cfg, columns, rows)
+        return _render_json(cfg, table)
+    return _render_csv(cfg, table)
 
 
 def main(argv=None) -> int:

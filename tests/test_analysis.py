@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from covosc import analysis
 from covosc import (
     ConfigError,
     DomainError,
@@ -327,6 +328,20 @@ class TestRenderGrid:
     def test_unknown_representation(self):
         with pytest.raises(DomainError):
             render_grid(OscillatorState(), GridSpec(-2.0, 2.0, 0.5), "fourier")
+
+    def test_cell_budget_checked_before_evaluation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid evaluated")
+
+        monkeypatch.setattr(analysis, "psi_boosted", refuse)
+        monkeypatch.setattr(analysis, "phi_momentum", refuse)
+        assert analysis.MAX_GRID_CELLS == 1001**2
+        for representation in ("spacetime", "momentum"):
+            with pytest.raises(ConfigError, match="1002\\^2 = 1004004 cells"):
+                render_grid(OscillatorState(), GridSpec(0.0, 1001.0, 1.0), representation)
+            # the largest grid inside the budget goes on to evaluation
+            with pytest.raises(AssertionError, match="grid evaluated"):
+                render_grid(OscillatorState(), GridSpec(0.0, 1000.0, 1.0), representation)
 
 
 class TestWidthDuality:

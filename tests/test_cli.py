@@ -12,9 +12,42 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covosc import ETA_MAX, analysis, cli, rest_of_universe
+from covosc import ETA_MAX, NumericIntegrityError, analysis, cli, rest_of_universe
 
 LN2 = math.log(2.0)
+TINY = 2.2250738585072014e-308  # smallest normal double
+
+
+def quantize_cell(value):
+    """Oracle: the per-cell rounding the CLI applied before it rendered columns."""
+    if isinstance(value, (bool, int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        f = float(value)
+        if not math.isfinite(f):
+            raise NumericIntegrityError(f"non-finite value {f!r} in results")
+        return float(f"{f:.15g}")
+    return value
+
+
+def text_cell(value) -> str:
+    """Oracle: the per-cell CSV text the CLI wrote before it rendered columns."""
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, (tuple, list)):
+        return ",".join(text_cell(v) for v in value)
+    return str(value)
+
+
+FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-TINY, max_value=TINY),
+    st.floats(min_value=1e15, max_value=1e16, exclude_max=True),
+    st.floats(min_value=-1e16, max_value=-1e15, exclude_min=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 9999999999999998.0]),
+)
 
 
 def run_cli(args, tmp_path=None, name=None):
@@ -167,14 +200,6 @@ class TestGridCommand:
         assert code == 0
         _, header, _ = parse_csv(out)
         assert header == ["q_z", "q_0", "phi"]
-
-    def test_threads_do_not_change_bytes(self, tmp_path, monkeypatch):
-        args = ["grid", "--eta", "0.5", "--min", "-2", "--max", "2", "--step", "0.05"]
-        monkeypatch.delenv(cli.THREADS_ENV, raising=False)
-        _, single = run_cli(args, tmp_path, "single.csv")
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        _, pooled = run_cli(args, tmp_path, "pooled.csv")
-        assert single.read_bytes() == pooled.read_bytes()
 
 
 class TestOtherCommands:
@@ -341,6 +366,16 @@ class TestErrorPaths:
         assert code == 2
         assert "numeric integrity" in capsys.readouterr().err
 
+    def test_grid_over_the_cell_budget_exits_1(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid evaluated")
+
+        monkeypatch.setattr(analysis, "psi_boosted", refuse)
+        code, out = run_cli(["grid", "--min=0", "--max=1001", "--step=1"], tmp_path, "g.csv")
+        assert code == 1
+        assert not out.exists()
+        assert "1004004 cells" in capsys.readouterr().err
+
     def test_no_tmp_file_left_behind(self, tmp_path):
         _, out = run_cli(["boost", "--eta", "1"], tmp_path, "b.csv")
         leftovers = [p for p in tmp_path.iterdir() if p.name != "b.csv"]
@@ -371,6 +406,72 @@ class TestModuleEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1
+
+
+class TestColumnRendering:
+    @staticmethod
+    def render(column):
+        """CSV texts and JSON values of one column, each one entry per row."""
+        (texts,) = cli._cells({"x": column}, text=True)
+        (values,) = cli._cells({"x": column}, text=False)
+        return texts, values
+
+    @staticmethod
+    def assert_matches_oracle(column, cells):
+        texts, values = TestColumnRendering.render(column)
+        assert texts == [text_cell(quantize_cell(v)) for v in cells]
+        # repr tells -0.0 from 0.0, which == does not
+        assert list(map(repr, values)) == [repr(quantize_cell(v)) for v in cells]
+
+    @given(st.lists(FLOATS, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_float_column_matches_per_cell_oracle(self, values):
+        self.assert_matches_oracle(np.array(values), values)
+
+    @given(st.lists(FLOATS, min_size=1, max_size=8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_indexed_column_matches_per_cell_oracle(self, values, data):
+        index = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=40))
+        column = cli._Indexed(np.array(values), np.array(index, dtype=np.intp))
+        self.assert_matches_oracle(column, [values[i] for i in index])
+
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_int_column_matches_per_cell_oracle(self, values):
+        column = np.array(values, dtype=np.int64)
+        self.assert_matches_oracle(column, list(column))
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["z", "t", "psi"])
+    def test_non_finite_in_any_column_exits_2(self, fmt, bad, where, monkeypatch, capsys):
+        axis = np.array([-1.0, 0.0, 1.0])
+        table = {
+            "z": cli._Indexed(axis.copy(), np.repeat(np.arange(3), 3)),
+            "t": cli._Indexed(axis.copy(), np.tile(np.arange(3), 3)),
+            "n": np.arange(9),
+            "psi": np.linspace(0.0, 1.0, 9),
+        }
+        column = table[where].values if where != "psi" else table[where]
+        column[1] = bad
+        monkeypatch.setitem(cli._DISPATCH, "boost", lambda cfg: table)
+        assert cli.main(["boost", "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numeric integrity" in captured.err and where in captured.err
+
+    def test_grid_axes_are_formatted_once_per_point(self, monkeypatch):
+        calls = []
+        quantize = cli._quantize
+
+        def counting(name, values):
+            calls.append((name, len(values)))
+            return quantize(name, values)
+
+        monkeypatch.setattr(cli, "_quantize", counting)
+        cli.run(cli.RunConfig(command="grid", min=-1.0, max=1.0, step=0.01))
+        results = [c for c in calls if c[0] in ("z", "t", "psi")]
+        assert results == [("z", 201), ("t", 201), ("psi", 201 * 201)]
 
 
 class TestRounding:
