@@ -364,7 +364,8 @@ def _quantize(name: str, values) -> list:
 def _cells(table: dict, text: bool) -> list[list]:
     """Every column of table expanded to one entry per row.
 
-    Each distinct value is quantized, and for text written with repr, once.
+    An _Indexed column is quantized, and for text written with repr, once per
+    distinct value and then expanded by its index.
     """
     cells = []
     for name, column in table.items():
