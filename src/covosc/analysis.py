@@ -31,6 +31,7 @@ __all__ = [
     "FieldGrid",
     "GridSpec",
     "MAX_GRID_CELLS",
+    "MAX_RESIDUAL_CELLS",
     "PartonScanRow",
     "PdeResidualReport",
     "marginal",
@@ -46,6 +47,10 @@ MAX_POINTS_PER_AXIS = 10_000
 # render_grid and its CLI text take about 250 B of peak memory per cell, so
 # this caps a dense dump near 250 MB; it is checked before anything is evaluated
 MAX_GRID_CELLS = 1001**2
+# pde_residual holds about 60 B per cell at its peak (five stencil samples and
+# the arrays derived from them), so this caps a residual check near 410 MB;
+# the largest default verify grid, at n_z = 64, has 2281^2 cells
+MAX_RESIDUAL_CELLS = 2501**2
 DEFAULT_ORDER = 64
 DEFAULT_FD_STEP = 0.01
 
@@ -240,6 +245,14 @@ def momentum_variance(eta: Rapidity | float, order: int = DEFAULT_ORDER) -> floa
     return var
 
 
+def _check_cells(grid: GridSpec, budget: int) -> None:
+    """Refuse a square grid over the cell budget before anything is evaluated."""
+    cells = grid.npoints**2
+    if cells > budget:
+        raise ConfigError(
+            f"grid of {grid.npoints}^2 = {cells} cells exceeds the budget of {budget} cells")
+
+
 def pde_residual(state: OscillatorState, grid: GridSpec,
                  fd_step: float = DEFAULT_FD_STEP) -> PdeResidualReport:
     """Residual of the longitudinal oscillator equation on a squeeze-adapted grid.
@@ -258,13 +271,15 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
 
     Returns the model eigenvalue n_z, its Rayleigh-quotient estimate from the
     grid data, and the masked maximum of |D psi - n_z psi| / max|psi| using
-    second-order central differences with the given step.
+    second-order central differences with the given step. Grids of more than
+    MAX_RESIDUAL_CELLS cells are refused with a ConfigError.
     """
     if state.n_x or state.n_y:
         raise DomainError("residual check covers the (z, t) sector; transverse numbers must be 0")
     fd_step = float(fd_step)
     if not 1e-4 <= fd_step <= 1e-1:
         raise ConfigError(f"fd_step {fd_step} outside [1e-4, 1e-1]")
+    _check_cells(grid, MAX_RESIDUAL_CELLS)
     pts = grid.points()
     a = pts[:, None]
     b = pts[None, :]
@@ -308,11 +323,7 @@ def render_grid(state: OscillatorState, grid: GridSpec,
     values[i, j] corresponds to (first_axis[i], second_axis[j]). Grids of more
     than MAX_GRID_CELLS cells are refused with a ConfigError.
     """
-    cells = grid.npoints**2
-    if cells > MAX_GRID_CELLS:
-        raise ConfigError(
-            f"grid of {grid.npoints}^2 = {cells} cells exceeds the budget of "
-            f"{MAX_GRID_CELLS} cells")
+    _check_cells(grid, MAX_GRID_CELLS)
     pts = grid.points()
     first = pts[:, None]
     second = pts[None, :]

@@ -3,7 +3,13 @@
 Outputs are CSV or JSON files meant for external plotting and CI, never an
 interactive display. Runs are deterministic: the same resolved configuration
 produces byte-identical output, numeric text is rendered with 15 significant
-digits, and the full resolved configuration is embedded in every file.
+digits, and every file echoes the command, each configuration key that
+command reads, and the format.
+
+Each configuration key is declared once in _KEYS and each command once in
+_COMMANDS, with the keys it reads; the flags, the resolution of a flag over
+a --config file over the default, and the echo all follow from these two
+tables. A --config key the command does not read is refused.
 
 Results are rendered column-wise with the same 15-significant-digit text:
 each float column is checked for NaN/Inf once, and a grid axis is formatted
@@ -20,9 +26,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,49 +39,77 @@ from .oscillator import OscillatorState
 
 __all__ = ["RunConfig", "main", "run"]
 
-_DEFAULTS = {
-    "eta": 0.0,
-    "etas": None,
-    "n_z": 0,
-    "n_x": 0,
-    "n_y": 0,
-    "min": None,
-    "max": None,
-    "step": None,
-    "order": analysis.DEFAULT_ORDER,
-    "fd_step": analysis.DEFAULT_FD_STEP,
-    "axis": "z",
-    "representation": "spacetime",
-    "format": "csv",
-    "output": None,
+
+def _parse_etas(text: str) -> tuple[float, ...]:
+    items = [s for s in text.split(",") if s.strip()]
+    if not items:
+        raise ConfigError(f"empty rapidity list: {text!r}")
+    try:
+        return tuple(float(s) for s in items)
+    except ValueError as exc:
+        raise ConfigError(f"bad rapidity list {text!r}: {exc}") from None
+
+
+class _Key(NamedTuple):
+    """One configuration key: its converter from text, default, help and allowed values."""
+
+    convert: Callable[[str], object]
+    default: object
+    help: str
+    choices: tuple[str, ...] | None = None
+    aliases: tuple[str, ...] = ()
+
+
+# in the order the echo lists them
+_KEYS = {
+    "eta": _Key(float, 0.0, "boost rapidity"),
+    "etas": _Key(_parse_etas, None,
+                 "comma-separated rapidity list (overlap: the first is the reference frame)"),
+    "n_z": _Key(int, 0, "longitudinal excitation"),
+    "n_x": _Key(int, 0, "transverse x excitation"),
+    "n_y": _Key(int, 0, "transverse y excitation"),
+    "min": _Key(float, None, "grid lower edge"),
+    "max": _Key(float, None, "grid upper edge"),
+    "step": _Key(float, None, "grid spacing"),
+    "order": _Key(int, analysis.DEFAULT_ORDER, "quadrature order"),
+    "fd_step": _Key(float, analysis.DEFAULT_FD_STEP, "finite-difference step"),
+    "axis": _Key(str, "z", "coordinate kept by the marginal", analysis.MARGINAL_AXES),
+    "representation": _Key(str, "spacetime", "spacetime psi(z, t) or momentum phi(q_z, q_0)",
+                           ("spacetime", "momentum")),
+    "format": _Key(str, "csv", "output encoding (default csv)", ("csv", "json")),
+    "output": _Key(str, None, "output file (default: stdout), written atomically",
+                   aliases=("-o",)),
 }
-
-_CHOICES = {
-    "axis": ("z", "t", "u", "v"),
-    "representation": ("spacetime", "momentum"),
-    "format": ("csv", "json"),
-}
+# keys every command reads besides its own; the echo leaves out output
+_COMMON = ("format", "output")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved parameters of one CLI invocation."""
+class RunConfig(SimpleNamespace):
+    """Fully resolved parameters of one CLI invocation.
 
-    command: str
-    eta: float = 0.0
-    etas: tuple[float, ...] | None = None
-    n_z: int = 0
-    n_x: int = 0
-    n_y: int = 0
-    min: float | None = None
-    max: float | None = None
-    step: float | None = None
-    order: int = analysis.DEFAULT_ORDER
-    fd_step: float = analysis.DEFAULT_FD_STEP
-    axis: str = "z"
-    representation: str = "spacetime"
-    format: str = "csv"
-    output: str | None = None
+    Holds the command, each key that command reads, format and output. A key
+    left out or None takes its default; a key the command does not read is
+    refused.
+    """
+
+    def __init__(self, command: str, /, **values):
+        try:
+            keys = _COMMANDS[command].keys + _COMMON
+        except KeyError:
+            raise ConfigError(f"unknown command {command!r}") from None
+        unread = sorted(set(values) - set(keys))
+        if unread:
+            raise ConfigError(f"{command} does not read config keys: {', '.join(unread)}")
+        resolved = {}
+        for name in keys:
+            key = _KEYS[name]
+            value = values.get(name)
+            if value is None:
+                value = key.default
+            if key.choices and value not in key.choices:
+                raise ConfigError(f"{name} must be one of {key.choices}, got {value!r}")
+            resolved[name] = value
+        super().__init__(command=command, **resolved)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,84 +127,15 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
-
-    def common(sp):
-        sp.add_argument("--format", choices=_CHOICES["format"], default=None,
-                        help="output encoding (default csv)")
-        sp.add_argument("--output", "-o", default=None, metavar="PATH",
-                        help="output file (default: stdout), written atomically")
-        sp.add_argument("--config", default=None, metavar="PATH",
+    for command, spec in _COMMANDS.items():
+        sp = sub.add_parser(command, help=spec.help)
+        for name in spec.keys + _COMMON:
+            key = _KEYS[name]
+            sp.add_argument("--" + name.replace("_", "-"), *key.aliases, type=key.convert,
+                            choices=key.choices, help=key.help)
+        sp.add_argument("--config", metavar="PATH",
                         help="key = value configuration file; flags take precedence")
-
-    def grid_flags(sp):
-        sp.add_argument("--min", type=float, default=None, help="grid lower edge")
-        sp.add_argument("--max", type=float, default=None, help="grid upper edge")
-        sp.add_argument("--step", type=float, default=None, help="grid spacing")
-
-    def state_flags(sp, transverse=False):
-        sp.add_argument("--n-z", type=int, default=None, help="longitudinal excitation")
-        if transverse:
-            sp.add_argument("--n-x", type=int, default=None, help="transverse x excitation")
-            sp.add_argument("--n-y", type=int, default=None, help="transverse y excitation")
-        sp.add_argument("--eta", type=float, default=None, help="boost rapidity")
-
-    sp = sub.add_parser("boost", help="kinematic factors per rapidity")
-    sp.add_argument("--eta", type=float, default=None)
-    sp.add_argument("--etas", type=_parse_etas, default=None,
-                    help="comma-separated rapidity list")
-    common(sp)
-
-    sp = sub.add_parser("grid", help="dense wave-function samples on a square grid")
-    state_flags(sp, transverse=True)
-    grid_flags(sp)
-    sp.add_argument("--representation", choices=_CHOICES["representation"], default=None,
-                    help="spacetime psi(z, t) or momentum phi(q_z, q_0)")
-    common(sp)
-
-    sp = sub.add_parser("marginal", help="1-D probability density along one axis")
-    state_flags(sp)
-    sp.add_argument("--axis", choices=_CHOICES["axis"], default=None)
-    grid_flags(sp)
-    sp.add_argument("--order", type=int, default=None, help="quadrature order")
-    common(sp)
-
-    sp = sub.add_parser("overlap", help="frame overlaps against the first rapidity")
-    sp.add_argument("--n-z", type=int, default=None)
-    sp.add_argument("--etas", type=_parse_etas, default=None,
-                    help="list of rapidities; the first is the reference frame")
-    sp.add_argument("--order", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("verify", help="oscillator-equation residual and norm of one state")
-    state_flags(sp)
-    grid_flags(sp)
-    sp.add_argument("--order", type=int, default=None)
-    sp.add_argument("--fd-step", type=float, default=None, help="finite-difference step")
-    common(sp)
-
-    sp = sub.add_parser("parton-scan", help="squeeze widths of the ground state per rapidity")
-    sp.add_argument("--etas", type=_parse_etas, default=None)
-    sp.add_argument("--order", type=int, default=None)
-    common(sp)
-
-    sp = sub.add_parser("entropy-scan",
-                        help="exact entropy/purity/spectrum of the reduced density per rapidity")
-    sp.add_argument("--etas", type=_parse_etas, default=None)
-    common(sp)
-
     return parser
-
-
-def _parse_etas(text) -> tuple[float, ...]:
-    if isinstance(text, (tuple, list)):
-        return tuple(float(v) for v in text)
-    items = [s for s in str(text).split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"empty rapidity list: {text!r}")
-    try:
-        return tuple(float(s) for s in items)
-    except ValueError as exc:
-        raise ConfigError(f"bad rapidity list {text!r}: {exc}") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -190,43 +155,20 @@ def _read_config_file(path: str) -> dict[str, str]:
     return options
 
 
-_CONVERTERS = {
-    "eta": float,
-    "etas": _parse_etas,
-    "n_z": int,
-    "n_x": int,
-    "n_y": int,
-    "min": float,
-    "max": float,
-    "step": float,
-    "order": int,
-    "fd_step": float,
-    "axis": str,
-    "representation": str,
-    "format": str,
-    "output": str,
-}
-
-
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_options = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    unknown = set(file_options) - set(_CONVERTERS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved = {}
-    for name, default in _DEFAULTS.items():
-        value = getattr(args, name, None)
-        if value is None and name in file_options:
+    """Each key the command reads from its flag, else the --config file, else its default."""
+    values = _read_config_file(args.config) if args.config else {}
+    for name in _COMMANDS[args.command].keys + _COMMON:
+        flag = getattr(args, name)
+        if flag is not None:
+            values[name] = flag
+        elif name in values:
             try:
-                value = _CONVERTERS[name](file_options[name])
+                values[name] = _KEYS[name].convert(values[name])
             except ValueError as exc:
                 raise ConfigError(f"bad config value for {name}: {exc}") from None
-        if value is None:
-            value = default
-        if name in _CHOICES and value is not None and value not in _CHOICES[name]:
-            raise ConfigError(f"{name} must be one of {_CHOICES[name]}, got {value!r}")
-        resolved[name] = value
-    return RunConfig(command=args.command, **resolved)
+    # file keys the command does not read are left as text for RunConfig to refuse
+    return RunConfig(args.command, **values)
 
 
 class _Indexed(NamedTuple):
@@ -335,14 +277,29 @@ def _cmd_entropy_scan(cfg: RunConfig):
     return dict(zip(names, zip(*rows)))
 
 
-_DISPATCH = {
-    "boost": _cmd_boost,
-    "grid": _cmd_grid,
-    "marginal": _cmd_marginal,
-    "overlap": _cmd_overlap,
-    "verify": _cmd_verify,
-    "parton-scan": _cmd_parton_scan,
-    "entropy-scan": _cmd_entropy_scan,
+class _Command(NamedTuple):
+    """One command: its help, the keys it reads (in _KEYS order) and its function."""
+
+    help: str
+    keys: tuple[str, ...]
+    run: Callable[[RunConfig], dict]
+
+
+_COMMANDS = {
+    "boost": _Command("kinematic factors per rapidity", ("eta", "etas"), _cmd_boost),
+    "grid": _Command("dense wave-function samples on a square grid",
+                     ("eta", "n_z", "n_x", "n_y", "min", "max", "step", "representation"),
+                     _cmd_grid),
+    "marginal": _Command("1-D probability density along one axis",
+                         ("eta", "n_z", "min", "max", "step", "order", "axis"), _cmd_marginal),
+    "overlap": _Command("frame overlaps against the first rapidity",
+                        ("etas", "n_z", "order"), _cmd_overlap),
+    "verify": _Command("oscillator-equation residual and norm of one state",
+                       ("eta", "n_z", "min", "max", "step", "order", "fd_step"), _cmd_verify),
+    "parton-scan": _Command("squeeze widths of the ground state per rapidity",
+                            ("etas", "order"), _cmd_parton_scan),
+    "entropy-scan": _Command("exact entropy/purity/spectrum of the reduced density per rapidity",
+                             ("etas",), _cmd_entropy_scan),
 }
 
 
@@ -380,15 +337,16 @@ def _cells(table: dict, text: bool) -> list[list]:
 
 
 def _config_dict(cfg: RunConfig) -> dict:
-    data = asdict(cfg)
-    # the embedded config describes the computation, so identical requests
-    # produce byte-identical files; where the file lands does not belong
-    del data["output"]
-    for key, value in data.items():
+    # the echo describes the computation, so identical requests produce
+    # byte-identical files; where the file lands does not belong
+    data = {"command": cfg.command}
+    for name in _COMMANDS[cfg.command].keys + ("format",):
+        value = getattr(cfg, name)
         if isinstance(value, tuple):
-            data[key] = _quantize(key, value)
+            value = _quantize(name, value)
         elif isinstance(value, float):
-            (data[key],) = _quantize(key, [value])
+            (value,) = _quantize(name, [value])
+        data[name] = value
     return data
 
 
@@ -427,12 +385,8 @@ def _emit(text: str, output: str | None) -> None:
 
 def run(cfg: RunConfig) -> str:
     """Execute one resolved configuration and return the rendered output text."""
-    try:
-        command = _DISPATCH[cfg.command]
-    except KeyError:
-        raise ConfigError(f"unknown command {cfg.command!r}") from None
     # a table maps each column name to its values: a 1-D sequence or an _Indexed
-    table = command(cfg)
+    table = _COMMANDS[cfg.command].run(cfg)
     if cfg.format == "json":
         return _render_json(cfg, table)
     return _render_csv(cfg, table)

@@ -115,6 +115,18 @@ class TestPdeResidual:
         with pytest.raises(ConfigError):
             pde_residual(OscillatorState(), GridSpec(500.0, 600.0, 1.0), 0.01)
 
+    def test_residual_cell_budget_checked_before_evaluation(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("residual grid evaluated")
+
+        monkeypatch.setattr(analysis, "psi_boosted_lightcone", refuse)
+        assert analysis.MAX_RESIDUAL_CELLS == 2501**2
+        with pytest.raises(ConfigError, match="2502\\^2 = 6260004 cells"):
+            pde_residual(OscillatorState(), GridSpec(0.0, 2501.0, 1.0))
+        # the largest grid inside the budget goes on to evaluation
+        with pytest.raises(AssertionError, match="residual grid evaluated"):
+            pde_residual(OscillatorState(), GridSpec(0.0, 2500.0, 1.0))
+
 
 class TestNorm:
     def test_rest_ground(self):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covosc import ETA_MAX, NumericIntegrityError, analysis, cli, rest_of_universe
+from covosc import ETA_MAX, ConfigError, NumericIntegrityError, analysis, cli, rest_of_universe
 
 LN2 = math.log(2.0)
 TINY = 2.2250738585072014e-308  # smallest normal double
@@ -330,6 +331,99 @@ class TestConfigFile:
         assert "key = value" in capsys.readouterr().err
 
 
+# the keys each command reads besides format and output
+READS = {
+    "boost": {"eta", "etas"},
+    "grid": {"eta", "n_z", "n_x", "n_y", "min", "max", "step", "representation"},
+    "marginal": {"eta", "n_z", "min", "max", "step", "order", "axis"},
+    "overlap": {"etas", "n_z", "order"},
+    "verify": {"eta", "n_z", "min", "max", "step", "order", "fd_step"},
+    "parton-scan": {"etas", "order"},
+    "entropy-scan": {"etas"},
+}
+# one valid value per key: its config text, its CSV echo and its JSON echo
+VALUES = {
+    "eta": ("0.5", "0.5", 0.5),
+    "etas": ("0, 0.5", "0.0,0.5", [0.0, 0.5]),
+    "n_z": ("1", "1", 1),
+    "n_x": ("1", "1", 1),
+    "n_y": ("2", "2", 2),
+    "min": ("-2", "-2.0", -2.0),
+    "max": ("2", "2.0", 2.0),
+    "step": ("0.5", "0.5", 0.5),
+    "order": ("32", "32", 32),
+    "fd_step": ("0.02", "0.02", 0.02),
+    "axis": ("u", "u", "u"),
+    "representation": ("momentum", "momentum", "momentum"),
+}
+# what a command needs besides the key under test
+BASE = {command: ({"etas": "0,0.5"} if command in ("overlap", "parton-scan", "entropy-scan")
+                  else {}) for command in READS}
+PAIRS = [(command, key) for command in READS for key in VALUES]
+
+
+class TestConfigSchema:
+    @staticmethod
+    def run_with_file(tmp_path, command, options):
+        cfg = tmp_path / "run.conf"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+        return run_cli([command, "--config", str(cfg)], tmp_path)
+
+    def test_schema_lists_the_keys_each_command_reads(self):
+        assert {name: set(spec.keys) for name, spec in cli._COMMANDS.items()} == READS
+
+    @pytest.mark.parametrize("command,key", [p for p in PAIRS if p[1] in READS[p[0]]])
+    def test_read_key_accepted_and_echoed(self, command, key, tmp_path):
+        text, csv_echo, json_echo = VALUES[key]
+        for fmt in ("csv", "json"):
+            options = {**BASE[command], key: text, "format": fmt}
+            code, out = self.run_with_file(tmp_path, command, options)
+            assert code == 0, (command, key, fmt)
+            if fmt == "csv":
+                lines = out.read_text().splitlines()
+                assert f"# {key} = {csv_echo}" in lines and "# format = csv" in lines
+            else:
+                config = json.loads(out.read_text())["config"]
+                assert config[key] == json_echo
+                assert list(config) == ["command", *[k for k in VALUES if k in READS[command]],
+                                        "format"]
+
+    @pytest.mark.parametrize("command,key", [p for p in PAIRS if p[1] not in READS[p[0]]])
+    def test_unread_key_exits_1(self, command, key, tmp_path, capsys):
+        code, out = self.run_with_file(tmp_path, command,
+                                       {**BASE[command], key: VALUES[key][0]})
+        assert code == 1
+        assert not out.exists()
+        assert f"{command} does not read config keys: {key}\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_lists_exactly_the_schema_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli._build_parser().parse_args([command, "--help"])
+        assert exit_info.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        want = {"--" + key.replace("_", "-") for key in READS[command]}
+        assert flags == want | {"--format", "--output", "--config", "--help"}
+
+    def test_output_from_file(self, tmp_path):
+        target = tmp_path / "from-file.csv"
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"output = {target}\n")
+        assert cli.main(["boost", "--config", str(cfg)]) == 0
+        assert target.read_text().startswith("# covosc boost")
+
+    def test_run_config_defaults_and_refusals(self):
+        cfg = cli.RunConfig("entropy-scan", etas=(1.0,))
+        assert vars(cfg) == {"command": "entropy-scan", "etas": (1.0,),
+                             "format": "csv", "output": None}
+        with pytest.raises(ConfigError, match="order"):
+            cli.RunConfig("entropy-scan", etas=(1.0,), order=3)
+        with pytest.raises(ConfigError, match="axis must be one of"):
+            cli.RunConfig("marginal", axis="w")
+        with pytest.raises(ConfigError, match="unknown command"):
+            cli.RunConfig("frobnicate")
+
+
 class TestErrorPaths:
     def test_unknown_flag(self, capsys):
         assert cli.main(["parton-scan", "--etas", "1", "--bogus"]) == 1
@@ -375,6 +469,28 @@ class TestErrorPaths:
         assert code == 1
         assert not out.exists()
         assert "1004004 cells" in capsys.readouterr().err
+
+    def test_verify_over_the_cell_budget_exits_1(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("residual grid evaluated")
+
+        monkeypatch.setattr(analysis, "psi_boosted_lightcone", refuse)
+        code, out = run_cli(["verify", "--step=0.0006"], tmp_path, "v.csv")
+        assert code == 1
+        assert not out.exists()
+        assert "9429^2 = 88906041 cells" in capsys.readouterr().err
+
+    def test_largest_default_verify_grid_fits_the_budget(self, monkeypatch):
+        class Evaluated(Exception):
+            pass
+
+        def record(state, u, v):
+            raise Evaluated(u.shape[0], v.shape[1])
+
+        monkeypatch.setattr(analysis, "psi_boosted_lightcone", record)
+        with pytest.raises(Evaluated) as evaluated:
+            cli.main(["verify", "--n-z", "64"])
+        assert evaluated.value.args == (2281, 2281)
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         _, out = run_cli(["boost", "--eta", "1"], tmp_path, "b.csv")
@@ -454,7 +570,8 @@ class TestColumnRendering:
         }
         column = table[where].values if where != "psi" else table[where]
         column[1] = bad
-        monkeypatch.setitem(cli._DISPATCH, "boost", lambda cfg: table)
+        boost = cli._COMMANDS["boost"]._replace(run=lambda cfg: table)
+        monkeypatch.setitem(cli._COMMANDS, "boost", boost)
         assert cli.main(["boost", "--format", fmt]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -469,7 +586,7 @@ class TestColumnRendering:
             return quantize(name, values)
 
         monkeypatch.setattr(cli, "_quantize", counting)
-        cli.run(cli.RunConfig(command="grid", min=-1.0, max=1.0, step=0.01))
+        cli.run(cli.RunConfig("grid", min=-1.0, max=1.0, step=0.01))
         results = [c for c in calls if c[0] in ("z", "t", "psi")]
         assert results == [("z", 201), ("t", 201), ("psi", 201 * 201)]
 
