@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, NumericIntegrityError
-from .hermite import gauss_hermite
+from .hermite import gauss_hermite, hermite_function
 from .kinematics import SQRT2, Rapidity, rapidity_value
 from .oscillator import (
     OscillatorState,
@@ -47,9 +48,10 @@ MAX_POINTS_PER_AXIS = 10_000
 # render_grid and its CLI text take about 250 B of peak memory per cell, so
 # this caps a dense dump near 250 MB; it is checked before anything is evaluated
 MAX_GRID_CELLS = 1001**2
-# pde_residual holds about 60 B per cell at its peak (five stencil samples and
-# the arrays derived from them), so this caps a residual check near 410 MB;
-# the largest default verify grid, at n_z = 64, has 2281^2 cells
+# pde_residual holds about 25 B per cell at its peak (psi, the applied operator,
+# one product buffer and the mask; the stencil lines are 2N - 1 points each),
+# so this caps a residual check near 160 MB of arrays; the largest default
+# verify grid, at n_z = 64, has 2281^2 cells
 MAX_RESIDUAL_CELLS = 2501**2
 DEFAULT_ORDER = 64
 DEFAULT_FD_STEP = 0.01
@@ -269,6 +271,14 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     laid out along the squeezed axes: grid coordinate (a, b) sits at
     u = e^{eta} a, v = e^{-eta} b with stencil steps scaled the same way.
 
+    There the state is h_{n_z}((a + b)/sqrt(2)) h_0((a - b)/sqrt(2)), and with
+    a = min + step i, b = min + step j the first factor depends only on i + j
+    and the second only on i - j. Every stencil sample, shifted by c along
+    a + b or a - b (c in {0, +-2 fd_step}), is therefore H_c[i + j] G_c[i - j]
+    with H_c = h_{n_z}((2 min + step s + c)/sqrt(2)) for s = 0 .. 2N - 2 and
+    G_c = h_0((step d + c)/sqrt(2)) for d = -(N - 1) .. N - 1: six Hermite
+    evaluations of 2N - 1 points, read as N x N Hankel and Toeplitz views.
+
     Returns the model eigenvalue n_z, its Rayleigh-quotient estimate from the
     grid data, and the masked maximum of |D psi - n_z psi| / max|psi| using
     second-order central differences with the given step. Grids of more than
@@ -280,37 +290,46 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     if not 1e-4 <= fd_step <= 1e-1:
         raise ConfigError(f"fd_step {fd_step} outside [1e-4, 1e-1]")
     _check_cells(grid, MAX_RESIDUAL_CELLS)
+    n = grid.npoints
     pts = grid.points()
-    a = pts[:, None]
-    b = pts[None, :]
-    e_u, e_v = math.exp(state.eta), math.exp(-state.eta)
-    h_u, h_v = e_u * fd_step, e_v * fd_step
+    sums = 2.0 * grid.min + grid.step * np.arange(2 * n - 1)
+    diffs = grid.step * np.arange(1 - n, n)
 
-    def sample(da: float, db: float) -> np.ndarray:
-        u = e_u * (a + da)
-        v = e_v * (b + db)
-        return psi_boosted_lightcone(state, u, v)
+    def hankel(x: np.ndarray) -> np.ndarray:
+        return sliding_window_view(x, n)  # [i, j] -> x[i + j]
 
-    center = sample(0.0, 0.0)
-    cross = (
-        sample(fd_step, fd_step)
-        - sample(fd_step, -fd_step)
-        - sample(-fd_step, fd_step)
-        + sample(-fd_step, -fd_step)
-    ) / (4.0 * h_u * h_v)
-    applied = (e_u * a) * (e_v * b) * center - cross
-    peak = float(np.max(np.abs(center)))
+    def toeplitz(x: np.ndarray) -> np.ndarray:
+        return sliding_window_view(x, n)[:, ::-1]  # [i, j] -> x[i - j + n - 1]
+
+    shifts = (0.0, 2.0 * fd_step, -2.0 * fd_step)
+    h0, h_plus, h_minus = (hermite_function(state.n_z, (sums + c) / SQRT2) for c in shifts)
+    g0, g_plus, g_minus = (hermite_function(0, (diffs + c) / SQRT2) for c in shifts)
+    h_u, h_v = math.exp(state.eta) * fd_step, math.exp(-state.eta) * fd_step
+    # applied = u v psi - cross with u v = a b, built in place as
+    # (H_0 (G_+ + G_-) - (H_+ + H_-) G_0) / (4 h_u h_v) + a b psi
+    center = hankel(h0) * toeplitz(g0)
+    applied = hankel(h0) * toeplitz(g_plus + g_minus)
+    applied -= hankel(h_plus + h_minus) * toeplitz(g0)
+    applied /= 4.0 * h_u * h_v
+    uv_psi = center * pts[:, None]
+    uv_psi *= pts[None, :]
+    applied += uv_psi
+    del uv_psi
+    magnitude = np.abs(center)
+    peak = float(magnitude.max())
     if peak == 0.0:
         raise ConfigError("grid does not touch the state's support")
-    mask = np.abs(center) > MASK_FLOOR * peak
+    mask = magnitude > MASK_FLOOR * peak
+    del magnitude
+    center, applied = center[mask], applied[mask]
     lam = float(state.n_z)
-    residual = np.abs(applied - lam * center)[mask]
-    rayleigh = float(np.sum(center[mask] * applied[mask]) / np.sum(center[mask] ** 2))
+    residual = np.abs(applied - lam * center)
+    rayleigh = float(np.sum(center * applied) / np.sum(center**2))
     return PdeResidualReport(
         eigenvalue=lam,
         rayleigh_quotient=rayleigh,
         max_rel_residual=float(residual.max() / peak),
-        masked_points=int(mask.sum()),
+        masked_points=int(center.size),
     )
 
 

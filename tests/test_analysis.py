@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,9 +22,56 @@ from covosc import (
     psi_boosted,
     render_grid,
 )
+from covosc.oscillator import psi_boosted_lightcone
 
 LN2 = math.log(2.0)
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
+
+
+def residual_by_samples(state, grid, fd_step):
+    """Oracle: the residual from five psi samples on the full grid, one per stencil point.
+
+    Returns (rayleigh_quotient, max_rel_residual, masked_points) as pde_residual
+    computed them before it read the samples as Hankel and Toeplitz views.
+    """
+    pts = grid.points()
+    a = pts[:, None]
+    b = pts[None, :]
+    e_u, e_v = math.exp(state.eta), math.exp(-state.eta)
+    h_u, h_v = e_u * fd_step, e_v * fd_step
+
+    def sample(da, db):
+        return psi_boosted_lightcone(state, e_u * (a + da), e_v * (b + db))
+
+    center = sample(0.0, 0.0)
+    cross = (
+        sample(fd_step, fd_step)
+        - sample(fd_step, -fd_step)
+        - sample(-fd_step, fd_step)
+        + sample(-fd_step, -fd_step)
+    ) / (4.0 * h_u * h_v)
+    applied = (e_u * a) * (e_v * b) * center - cross
+    peak = float(np.max(np.abs(center)))
+    mask = np.abs(center) > analysis.MASK_FLOOR * peak
+    residual = np.abs(applied - state.n_z * center)[mask]
+    rayleigh = float(np.sum(center[mask] * applied[mask]) / np.sum(center[mask] ** 2))
+    return rayleigh, float(residual.max() / peak), int(mask.sum())
+
+
+ORACLE_N_Z = (0, 1, 2, 3, 4, 16)
+ORACLE_ETAS = (0.0, 1.3, -1.3, 45.0, 50.0, -50.0)
+ORACLE_GRIDS = ((-4.0, 4.0, 0.01), (-3.0, 5.0, 0.03), (0.5, 7.25, 0.0125))
+ORACLE_FD_STEPS = (1e-4, 0.003, 0.01, 0.1)
+
+
+def oracle_table():
+    """Every (n_z, eta, grid) triple; fd_step cycles so that it meets every
+    value of each of the other three parameters."""
+    for (i, n_z), (j, eta), (k, grid) in itertools.product(
+            enumerate(ORACLE_N_Z), enumerate(ORACLE_ETAS), enumerate(ORACLE_GRIDS)):
+        fd_step = ORACLE_FD_STEPS[(i + j + k) % len(ORACLE_FD_STEPS)]
+        yield pytest.param(n_z, eta, grid, fd_step,
+                           id=f"n_z={n_z} eta={eta} grid={grid} fd_step={fd_step}")
 
 
 class TestGridSpec:
@@ -119,13 +167,24 @@ class TestPdeResidual:
         def refuse(*args, **kwargs):
             raise AssertionError("residual grid evaluated")
 
-        monkeypatch.setattr(analysis, "psi_boosted_lightcone", refuse)
+        monkeypatch.setattr(analysis, "hermite_function", refuse)
         assert analysis.MAX_RESIDUAL_CELLS == 2501**2
         with pytest.raises(ConfigError, match="2502\\^2 = 6260004 cells"):
             pde_residual(OscillatorState(), GridSpec(0.0, 2501.0, 1.0))
         # the largest grid inside the budget goes on to evaluation
         with pytest.raises(AssertionError, match="residual grid evaluated"):
             pde_residual(OscillatorState(), GridSpec(0.0, 2500.0, 1.0))
+
+    @pytest.mark.parametrize("n_z, eta, bounds, fd_step", oracle_table())
+    def test_matches_five_sample_oracle(self, n_z, eta, bounds, fd_step):
+        state, grid = OscillatorState(n_z=n_z, eta=eta), GridSpec(*bounds)
+        rayleigh, max_residual, masked = residual_by_samples(state, grid, fd_step)
+        report = pde_residual(state, grid, fd_step)
+        # the stencil divides rounding of psi by 4 fd_step^2
+        tolerance = 1e-15 / fd_step**2
+        assert report.rayleigh_quotient == pytest.approx(rayleigh, rel=0.0, abs=tolerance)
+        assert report.max_rel_residual == pytest.approx(max_residual, rel=0.0, abs=tolerance)
+        assert report.masked_points == masked
 
 
 class TestNorm:

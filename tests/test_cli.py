@@ -176,6 +176,19 @@ class TestVerifyCommand:
         assert row["lambda"] == 2.0
         assert row["max_residual"] < 1e-3
 
+    @given(st.integers(0, 5), st.floats(min_value=-ETA_MAX, max_value=ETA_MAX))
+    @settings(max_examples=150, deadline=None)
+    def test_default_grid_over_the_domain(self, n_z, eta):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["verify", "--n-z", str(n_z), f"--eta={eta!r}", "--format", "json"])
+        assert code == 0
+        (row,) = json.loads(out.getvalue())["results"]
+        assert row["lambda"] == n_z
+        assert abs(row["rayleigh_quotient"] - n_z) < 1e-3
+        assert row["max_residual"] < 1e-3
+        assert abs(row["norm"] - 1.0) < 1e-8
+
 
 class TestGridCommand:
     def test_row_count_and_peak(self, tmp_path):
@@ -474,23 +487,28 @@ class TestErrorPaths:
         def refuse(*args, **kwargs):
             raise AssertionError("residual grid evaluated")
 
-        monkeypatch.setattr(analysis, "psi_boosted_lightcone", refuse)
+        monkeypatch.setattr(analysis, "hermite_function", refuse)
         code, out = run_cli(["verify", "--step=0.0006"], tmp_path, "v.csv")
         assert code == 1
         assert not out.exists()
         assert "9429^2 = 88906041 cells" in capsys.readouterr().err
 
-    def test_largest_default_verify_grid_fits_the_budget(self, monkeypatch):
-        class Evaluated(Exception):
-            pass
+    def test_largest_default_verify_grid_fits_the_budget(self, tmp_path, monkeypatch):
+        lines = []
+        evaluate = analysis.hermite_function
 
-        def record(state, u, v):
-            raise Evaluated(u.shape[0], v.shape[1])
+        def record(n, x):
+            lines.append(np.shape(x))
+            return evaluate(n, x)
 
-        monkeypatch.setattr(analysis, "psi_boosted_lightcone", record)
-        with pytest.raises(Evaluated) as evaluated:
-            cli.main(["verify", "--n-z", "64"])
-        assert evaluated.value.args == (2281, 2281)
+        monkeypatch.setattr(analysis, "hermite_function", record)
+        code, out = run_cli(["verify", "--n-z", "64", "--format", "json"], tmp_path, "v.json")
+        assert code == 0
+        # the 2281^2 residual grid is read from six lines of 2 * 2281 - 1 points
+        assert lines == [(4561,)] * 6
+        (row,) = json.loads(out.read_text())["results"]
+        assert row["lambda"] == 64.0
+        assert abs(row["norm"] - 1.0) < 1e-8
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         _, out = run_cli(["boost", "--eta", "1"], tmp_path, "b.csv")
