@@ -11,9 +11,11 @@ _COMMANDS, with the keys it reads; the flags, the resolution of a flag over
 a --config file over the default, and the echo all follow from these two
 tables. A --config key the command does not read is refused.
 
-Results are rendered column-wise with the same 15-significant-digit text:
-each float column is checked for NaN/Inf once, and a grid axis is formatted
-once per axis point rather than once per cell.
+Results are rendered column-wise with the same 15-significant-digit text
+in both formats: each float column is checked for NaN/Inf once, a grid axis
+is formatted once per axis point rather than once per cell, and JSON result
+objects are filled from the CSV text cells through one per-table template.
+The argument parser is built once per process and reused by every main call.
 
 Exit status: 0 on success, 1 on domain/configuration errors, 2 when a
 numeric integrity check fails (non-finite output, broken spectrum, ...).
@@ -22,6 +24,7 @@ numeric integrity check fails (non-finite output, broken spectrum, ...).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -41,9 +44,9 @@ __all__ = ["RunConfig", "main", "run"]
 
 
 def _parse_etas(text: str) -> tuple[float, ...]:
-    items = [s for s in text.split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"empty rapidity list: {text!r}")
+    items = text.split(",")
+    if not all(s.strip() for s in items):
+        raise ConfigError(f"empty item in rapidity list {text!r}")
     try:
         return tuple(float(s) for s in items)
     except ValueError as exc:
@@ -119,7 +122,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # parse_args keeps no state between calls: each returns a fresh namespace
     parser = _Parser(
         prog="covosc",
         description="Covariant oscillator toolkit: boosted bound-state wave "
@@ -303,33 +308,39 @@ _COMMANDS = {
 }
 
 
+# the largest double whose 15-significant-digit text is finite: anything
+# larger in magnitude rounds to 1.79769313486232e308, which reads back as inf
+_LARGEST_WRITTEN = 1.797693134862315e308
+
+
 def _quantize(name: str, values) -> list:
     """Values of one column as written: ints as they are, floats at 15 significant digits.
 
-    Rounds position by position, never by value, so -0.0 stays -0.0.
+    Rounds position by position, never by value, so -0.0 stays -0.0. Refuses
+    NaN, Inf and a finite value that rounds to Inf.
     """
     values = np.asarray(values)
     if values.dtype.kind in "iu":
         return values.tolist()
     values = values.astype(float, copy=False)
-    finite = np.isfinite(values)
+    finite = np.abs(values) <= _LARGEST_WRITTEN
     if not finite.all():
-        raise NumericIntegrityError(f"non-finite value {values[~finite][0]!r} in {name}")
+        raise NumericIntegrityError(
+            f"value {values[~finite][0]!r} in {name} is not finite at 15 significant digits")
     return [float(f"{x:.15g}") for x in values.tolist()]
 
 
-def _cells(table: dict, text: bool) -> list[list]:
-    """Every column of table expanded to one entry per row.
+def _cells(table: dict) -> list[list[str]]:
+    """Every column of table as text, one entry per row.
 
-    An _Indexed column is quantized, and for text written with repr, once per
-    distinct value and then expanded by its index.
+    The text is the repr of each quantized value, which is also how json
+    writes a finite float or an int. An _Indexed column is quantized and
+    written once per distinct value, then expanded by its index.
     """
     cells = []
     for name, column in table.items():
         values, index = column if isinstance(column, _Indexed) else (column, None)
-        out = _quantize(name, values)
-        if text:
-            out = list(map(repr, out))
+        out = list(map(repr, _quantize(name, values)))
         if index is not None:
             out = np.array(out, dtype=object)[index].tolist()
         cells.append(out)
@@ -363,14 +374,19 @@ def _render_csv(cfg: RunConfig, table: dict) -> str:
     for key, value in _config_dict(cfg).items():
         lines.append(f"# {key} = {_echo(value)}")
     lines.append(",".join(table))
-    lines.extend(map(",".join, zip(*_cells(table, text=True))))
+    lines.extend(map(",".join, zip(*_cells(table))))
     return "\n".join(lines) + "\n"
 
 
 def _render_json(cfg: RunConfig, table: dict) -> str:
-    results = [dict(zip(table, row)) for row in zip(*_cells(table, text=False))]
-    payload = {"config": _config_dict(cfg), "results": results}
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    # the bytes of json.dumps({"config": ..., "results": [...]}, indent=2):
+    # the config through json, each result object through one template
+    head = json.dumps({"config": _config_dict(cfg)}, indent=2, allow_nan=False)
+    keys = [json.dumps(name).replace("%", "%%") for name in table]
+    template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
+    rows = ",\n".join(template % row for row in zip(*_cells(table)))
+    results = f"[\n{rows}\n  ]" if rows else "[]"
+    return f'{head[:-2]},\n  "results": {results}\n}}\n'
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -379,8 +395,12 @@ def _emit(text: str, output: str | None) -> None:
         return
     path = Path(output)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def run(cfg: RunConfig) -> str:

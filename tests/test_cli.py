@@ -1,10 +1,12 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import mpmath
@@ -15,6 +17,9 @@ from hypothesis import strategies as st
 
 from covosc import ETA_MAX, ConfigError, NumericIntegrityError, analysis, cli, rest_of_universe
 
+# the requests of tests/test_golden.py with their exit status and output digest
+GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
+
 LN2 = math.log(2.0)
 TINY = 2.2250738585072014e-308  # smallest normal double
 
@@ -24,10 +29,10 @@ def quantize_cell(value):
     if isinstance(value, (bool, int, np.integer)):
         return int(value)
     if isinstance(value, (float, np.floating)):
-        f = float(value)
+        f = float(f"{float(value):.15g}")
         if not math.isfinite(f):
-            raise NumericIntegrityError(f"non-finite value {f!r} in results")
-        return float(f"{f:.15g}")
+            raise NumericIntegrityError(f"non-finite value {value!r} in results")
+        return f
     return value
 
 
@@ -42,6 +47,12 @@ def text_cell(value) -> str:
     return str(value)
 
 
+def render_json_oracle(config, results) -> str:
+    """Oracle: the JSON file the CLI wrote through json.dumps before it used text cells."""
+    payload = {"config": config, "results": results}
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+
+
 FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(min_value=-TINY, max_value=TINY),
@@ -49,6 +60,16 @@ FLOATS = st.one_of(
     st.floats(min_value=-1e16, max_value=-1e15, exclude_min=True),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 9999999999999998.0]),
 )
+
+
+def golden_output(argv, tmp_path):
+    """Output bytes of a golden request, checked against its recorded digest."""
+    (entry,) = [e for e in GOLDEN if e["argv"] == argv]
+    code, out = run_cli(argv, tmp_path, "golden.out")
+    assert code == entry["exit"] == 0
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == (entry["sha256"], entry["bytes"])
+    return data
 
 
 def run_cli(args, tmp_path=None, name=None):
@@ -515,6 +536,58 @@ class TestErrorPaths:
         leftovers = [p for p in tmp_path.iterdir() if p.name != "b.csv"]
         assert not leftovers
 
+    def test_failed_write_leaves_no_tmp_file(self, tmp_path, capsys):
+        target = tmp_path / "somedir"
+        target.mkdir()
+        assert cli.main(["boost", "--eta=0.5", "-o", str(target)]) == 1
+        assert capsys.readouterr().err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["somedir"]
+        assert not any(target.iterdir())
+
+    @pytest.mark.parametrize("etas", ["1,,2", "1,2,", ",1", " , "])
+    def test_empty_rapidity_item_exits_1(self, etas, tmp_path, capsys):
+        code, out = run_cli(["parton-scan", f"--etas={etas}"], tmp_path, "scan.csv")
+        assert code == 1
+        assert not out.exists()
+        assert repr(etas) in capsys.readouterr().err
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"etas = {etas}\n")
+        code, out = run_cli(["parton-scan", "--config", str(cfg)], tmp_path, "scan.csv")
+        assert code == 1
+        assert f"empty item in rapidity list {etas.strip()!r}" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    GOOD = ["overlap", "--n-z", "2", "--etas=0,0.5,-1,3", "--format", "json"]
+
+    def test_many_requests_build_one_parser(self, tmp_path):
+        cli._build_parser.cache_clear()
+        for eta in ("0", "0.5", "1", "-2"):
+            assert cli.main(["boost", f"--eta={eta}", "-o", str(tmp_path / "b.csv")]) == 0
+            assert cli.main(["entropy-scan", f"--etas={eta}",
+                             "-o", str(tmp_path / "e.csv")]) == 0
+        assert cli._build_parser.cache_info().misses == 1
+        assert cli._build_parser.cache_info().hits == 7
+
+    def test_bad_flag_between_good_requests(self, tmp_path, capsys):
+        golden_output(self.GOOD, tmp_path)
+        capsys.readouterr()
+        assert cli.main([*self.GOOD, "--bogus"]) == 1
+        assert cli.main(["overlap", "--format", "xml"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and "--bogus" in err[0] and "xml" in err[1]
+        golden_output(self.GOOD, tmp_path)
+
+    @pytest.mark.parametrize("command", READS)
+    def test_help_is_the_same_text_every_time(self, command, capsys):
+        texts = []
+        for parse in (cli.main, cli.main, cli._build_parser.__wrapped__().parse_args):
+            with pytest.raises(SystemExit) as exit_info:
+                parse([command, "--help"])
+            assert exit_info.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] and texts[0] == texts[1] == texts[2]
+
 
 class TestStdout:
     def test_default_output_is_stdout(self, capsys):
@@ -544,18 +617,19 @@ class TestModuleEntryPoint:
 
 class TestColumnRendering:
     @staticmethod
-    def render(column):
-        """CSV texts and JSON values of one column, each one entry per row."""
-        (texts,) = cli._cells({"x": column}, text=True)
-        (values,) = cli._cells({"x": column}, text=False)
-        return texts, values
-
-    @staticmethod
     def assert_matches_oracle(column, cells):
-        texts, values = TestColumnRendering.render(column)
+        # an indexed column is checked over all its values, used by a row or not
+        checked = list(column.values) if isinstance(column, cli._Indexed) else cells
+        try:
+            [quantize_cell(v) for v in checked]
+        except NumericIntegrityError:
+            with pytest.raises(NumericIntegrityError):
+                cli._cells({"x": column})
+            return
+        (texts,) = cli._cells({"x": column})
         assert texts == [text_cell(quantize_cell(v)) for v in cells]
-        # repr tells -0.0 from 0.0, which == does not
-        assert list(map(repr, values)) == [repr(quantize_cell(v)) for v in cells]
+        # json reads each text as the quantized value; repr tells -0.0 from 0.0
+        assert [repr(json.loads(t)) for t in texts] == [repr(quantize_cell(v)) for v in cells]
 
     @given(st.lists(FLOATS, min_size=1, max_size=40))
     @settings(max_examples=300, deadline=None)
@@ -576,7 +650,9 @@ class TestColumnRendering:
         self.assert_matches_oracle(column, list(column))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    # the last two are finite, but their 15-digit text reads back as inf
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                     1.7976931348623151e308, -1.7976931348623157e308])
     @pytest.mark.parametrize("where", ["z", "t", "psi"])
     def test_non_finite_in_any_column_exits_2(self, fmt, bad, where, monkeypatch, capsys):
         axis = np.array([-1.0, 0.0, 1.0])
@@ -594,6 +670,56 @@ class TestColumnRendering:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "numeric integrity" in captured.err and where in captured.err
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_json_bytes_match_the_json_dumps_oracle(self, data):
+        nrows = data.draw(st.integers(1, 50))
+        names = data.draw(st.lists(st.sampled_from(["eta", "psi", "n_z", "q%sz", 'a"b', "\u03b7"]),
+                                   min_size=1, max_size=4, unique=True))
+        table, cells, checked = {}, {}, []
+        for name in names:
+            kind = data.draw(st.sampled_from(["float", "int", "indexed"]))
+            if kind == "indexed":
+                values = data.draw(st.lists(FLOATS, min_size=1, max_size=8))
+                index = data.draw(st.lists(st.integers(0, len(values) - 1),
+                                           min_size=nrows, max_size=nrows))
+                table[name] = cli._Indexed(np.array(values), np.array(index, dtype=np.intp))
+                cells[name] = [values[i] for i in index]
+                checked += values
+            else:
+                elements = FLOATS if kind == "float" else st.integers(-2**63, 2**63 - 1)
+                values = data.draw(st.lists(elements, min_size=nrows, max_size=nrows))
+                table[name] = np.array(values, dtype=float if kind == "float" else np.int64)
+                cells[name] = list(table[name])
+                checked += cells[name]
+        cfg = data.draw(st.sampled_from([
+            cli.RunConfig("overlap", etas=(0.0, -0.5, 1e-300), n_z=2),
+            cli.RunConfig("grid", eta=-1.9, min=-2.0, step=0.1, format="json"),
+            cli.RunConfig("marginal", axis="v", format="json"),
+        ]))
+        try:
+            [quantize_cell(v) for v in checked]
+        except NumericIntegrityError:
+            with pytest.raises(NumericIntegrityError):
+                cli._render_json(cfg, table)
+            return
+        results = [{name: quantize_cell(cells[name][i]) for name in names}
+                   for i in range(nrows)]
+        want = render_json_oracle(cli._config_dict(cfg), results)
+        assert cli._render_json(cfg, table) == want
+
+    @pytest.mark.parametrize("argv", [e["argv"] for e in GOLDEN
+                                      if e["exit"] == 0 and "json" in e["argv"]], ids=" ".join)
+    def test_golden_json_redumps_through_the_oracle(self, argv, tmp_path):
+        data = golden_output(argv, tmp_path)
+        payload = json.loads(data)
+        assert render_json_oracle(payload["config"], payload["results"]).encode() == data
+
+    def test_json_of_a_table_without_rows(self):
+        # boost with an empty rapidity tuple is reachable from cli.run, not from flags
+        cfg = cli.RunConfig("boost", etas=(), format="json")
+        assert cli.run(cfg) == render_json_oracle(cli._config_dict(cfg), [])
 
     def test_grid_axes_are_formatted_once_per_point(self, monkeypatch):
         calls = []
@@ -616,6 +742,12 @@ class TestRounding:
         (row,) = json.loads(out.read_text())["results"]
         # beta = tanh(0.1) rendered at 15 significant digits
         assert row["beta"] == float("%.15g" % math.tanh(0.1))
+
+    def test_largest_value_with_finite_text(self):
+        assert cli._quantize("x", [1.797693134862315e308, -1.797693134862315e308]) == [
+            1.79769313486231e308, -1.79769313486231e308]
+        with pytest.raises(NumericIntegrityError, match="1.7976931348623151e"):
+            cli._quantize("x", [0.0, np.nextafter(1.797693134862315e308, math.inf)])
 
     def test_reparse_reproduces_values(self, tmp_path):
         args = ["marginal", "--axis", "u", "--eta", "1", "--min", "-4", "--max", "4",
