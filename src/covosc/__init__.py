@@ -27,7 +27,7 @@ from .errors import (
     DomainError,
     NumericIntegrityError,
 )
-from .hermite import QuadratureRule, gauss_hermite, hermite, hermite_function
+from .hermite import QuadratureRule, gauss_hermite, hermite_function
 from .kinematics import (
     ETA_MAX,
     Beta,
@@ -52,7 +52,6 @@ from .oscillator import (
     psi_boosted,
     psi_boosted_lightcone,
     psi_full,
-    psi_rest,
     separation_from_constituents,
 )
 from .rest_of_universe import ReducedDensity, entropy, purity, reduce, thermal_row
@@ -84,7 +83,6 @@ __all__ = [
     "entropy",
     "from_lightcone",
     "gauss_hermite",
-    "hermite",
     "hermite_function",
     "marginal",
     "momentum_from_constituents",
@@ -98,7 +96,6 @@ __all__ = [
     "psi_boosted",
     "psi_boosted_lightcone",
     "psi_full",
-    "psi_rest",
     "purity",
     "rapidity_from_beta",
     "rapidity_value",

@@ -15,6 +15,9 @@ Results are rendered column-wise with the same 15-significant-digit text
 in both formats: each float column is checked for NaN/Inf once, a grid axis
 is formatted once per axis point rather than once per cell, and JSON result
 objects are filled from the CSV text cells through one per-table template.
+A float cell is the repr of its value rounded to 15 significant digits,
+written by one %.15g pass; only integral, exponent-15 and e-3xx texts are
+read back, and the config echo's floats are read from the same texts.
 The argument parser is built once per process and reused by every main call.
 
 Exit status: 0 on success, 1 on domain/configuration errors, 2 when a
@@ -122,6 +125,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _flag_type(convert: Callable[[str], object]) -> Callable[[str], object]:
+    """convert as an argparse type: a ConfigError's reason becomes the flag's message."""
+    def flag_type(text: str):
+        try:
+            return convert(text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    # argparse names the type in its message for any other ValueError
+    flag_type.__name__ = convert.__name__
+    return flag_type
+
+
 @functools.cache
 def _build_parser() -> _Parser:
     # parse_args keeps no state between calls: each returns a fresh namespace
@@ -136,8 +152,8 @@ def _build_parser() -> _Parser:
         sp = sub.add_parser(command, help=spec.help)
         for name in spec.keys + _COMMON:
             key = _KEYS[name]
-            sp.add_argument("--" + name.replace("_", "-"), *key.aliases, type=key.convert,
-                            choices=key.choices, help=key.help)
+            sp.add_argument("--" + name.replace("_", "-"), *key.aliases,
+                            type=_flag_type(key.convert), choices=key.choices, help=key.help)
         sp.add_argument("--config", metavar="PATH",
                         help="key = value configuration file; flags take precedence")
     return parser
@@ -313,34 +329,48 @@ _COMMANDS = {
 _LARGEST_WRITTEN = 1.797693134862315e308
 
 
-def _quantize(name: str, values) -> list:
-    """Values of one column as written: ints as they are, floats at 15 significant digits.
+# a grid's far corners underflow to exact zeros, most of the cells of some grids:
+# map them without reading the text back
+_ZEROS = {"0": "0.0", "-0": "-0.0"}
 
-    Rounds position by position, never by value, so -0.0 stays -0.0. Refuses
-    NaN, Inf and a finite value that rounds to Inf.
+
+def _text_cells(name: str, values) -> list[str]:
+    """Cells of one column as written: ints as they are, floats at 15 significant digits.
+
+    A float cell is repr(float(f"{x:.15g}")), made by one %.15g pass; only a
+    text the cheap test below cannot vouch for is read back. Formats position
+    by position, never by value, so -0.0 stays -0.0. Refuses NaN, Inf and a
+    finite value that rounds to Inf.
     """
     values = np.asarray(values)
     if values.dtype.kind in "iu":
-        return values.tolist()
+        return list(map(repr, values.tolist()))
     values = values.astype(float, copy=False)
     finite = np.abs(values) <= _LARGEST_WRITTEN
     if not finite.all():
         raise NumericIntegrityError(
             f"value {values[~finite][0]!r} in {name} is not finite at 15 significant digits")
-    return [float(f"{x:.15g}") for x in values.tolist()]
+    # a 15-digit text is the repr of the double it reads back as, except that
+    # repr adds ".0" to an integral text, writes exponent 15 positionally and
+    # may need fewer digits for a subnormal (the test sends back every e-3xx).
+    # One pass binds t per cell: a separate list of raw texts raised the peak
+    # RSS of a 601^2 grid request by about 18 MB.
+    return [t if ("." in t or "e" in t) and t[-4:] != "e+15" and t[-5:-2] != "e-3"
+            else _ZEROS.get(t) or repr(float(t))
+            for x in values.tolist() for t in ("%.15g" % x,)]
 
 
 def _cells(table: dict) -> list[list[str]]:
     """Every column of table as text, one entry per row.
 
-    The text is the repr of each quantized value, which is also how json
-    writes a finite float or an int. An _Indexed column is quantized and
-    written once per distinct value, then expanded by its index.
+    The text is the repr of each value rounded to 15 significant digits,
+    which is also how json writes a finite float or an int. An _Indexed
+    column is formatted once per distinct value, then expanded by its index.
     """
     cells = []
     for name, column in table.items():
         values, index = column if isinstance(column, _Indexed) else (column, None)
-        out = list(map(repr, _quantize(name, values)))
+        out = _text_cells(name, values)
         if index is not None:
             out = np.array(out, dtype=object)[index].tolist()
         cells.append(out)
@@ -354,9 +384,9 @@ def _config_dict(cfg: RunConfig) -> dict:
     for name in _COMMANDS[cfg.command].keys + ("format",):
         value = getattr(cfg, name)
         if isinstance(value, tuple):
-            value = _quantize(name, value)
+            value = [float(t) for t in _text_cells(name, value)]
         elif isinstance(value, float):
-            (value,) = _quantize(name, [value])
+            value = float(_text_cells(name, [value])[0])
         data[name] = value
     return data
 

@@ -1,8 +1,8 @@
-"""Hermite polynomials, orthonormal Hermite functions, Gauss-Hermite quadrature.
+"""Orthonormal Hermite functions and Gauss-Hermite quadrature.
 
-Everything targets the weight exp(-x^2): physicists' polynomials H_n, the
-orthonormal functions h_n = H_n exp(-x^2/2) / sqrt(2^n n! sqrt(pi)), and
-node/weight rules for integrals over the real line.
+Everything targets the weight exp(-x^2): the orthonormal functions
+h_n = H_n exp(-x^2/2) / sqrt(2^n n! sqrt(pi)), with H_n the physicists'
+polynomials, and node/weight rules for integrals over the real line.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ __all__ = [
     "ORDER_MAX",
     "QuadratureRule",
     "gauss_hermite",
-    "hermite",
     "hermite_function",
 ]
 
@@ -47,23 +46,6 @@ def _like(values: np.ndarray, template):
     if np.ndim(template) == 0:
         return float(values)
     return values
-
-
-def hermite(n: int, x):
-    """Physicists' Hermite polynomial H_n(x) by the two-term recurrence.
-
-    H_0 = 1, H_1 = 2x, H_{k+1} = 2x H_k - 2k H_{k-1}. Accepts scalars or
-    numpy arrays.
-    """
-    n = _check_degree(n)
-    xs = np.asarray(x, dtype=float)
-    prev = np.ones_like(xs)
-    if n == 0:
-        return _like(prev, x)
-    cur = 2.0 * xs
-    for k in range(1, n):
-        cur, prev = 2.0 * xs * cur - (2.0 * k) * prev, cur
-    return _like(cur, x)
 
 
 def hermite_function(n: int, x):
@@ -131,10 +113,6 @@ class QuadratureRule:
         w = np.exp(np.log(self.weights) + self.nodes * self.nodes)
         w.setflags(write=False)
         return w
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of integrand samples taken at `nodes`."""
-        return float(np.sum(self.weights * values))
 
 
 def gauss_hermite(order: int) -> QuadratureRule:

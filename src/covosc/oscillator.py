@@ -33,7 +33,6 @@ __all__ = [
     "psi_boosted",
     "psi_boosted_lightcone",
     "psi_full",
-    "psi_rest",
     "separation_from_constituents",
 ]
 
@@ -121,17 +120,6 @@ def momentum_from_constituents(p_a, p_b) -> MomentumCoords:
         q_u=float((q[0] + q[3]) / SQRT2),
         q_v=float((q[0] - q[3]) / SQRT2),
     )
-
-
-def psi_rest(state: OscillatorState, z, t):
-    """Rest-frame longitudinal wave function h_{n_z}(z) h_0(t).
-
-    The state must carry zero rapidity; boosted states go through
-    psi_boosted. Accepts scalars or broadcastable numpy arrays.
-    """
-    if state.eta != 0.0:
-        raise DomainError("psi_rest requires eta = 0; use psi_boosted for a boosted state")
-    return hermite_function(state.n_z, z) * hermite_function(0, t)
 
 
 def psi_boosted(state: OscillatorState, z, t):

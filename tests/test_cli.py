@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -53,12 +54,26 @@ def render_json_oracle(config, results) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def step_ulps(x: float, n: int) -> float:
+    """x moved by n units in the last place."""
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
 FLOATS = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(min_value=-TINY, max_value=TINY),
     st.floats(min_value=1e15, max_value=1e16, exclude_max=True),
     st.floats(min_value=-1e16, max_value=-1e15, exclude_min=True),
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 9999999999999998.0]),
+    # near-integers, whose 15-digit text is integral
+    st.builds(step_ulps, st.integers(-10**6, 10**6).map(float), st.integers(-4, 4)),
+    # normal and subnormal values from 1e-300 down to the smallest subnormal
+    st.builds(lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** -exponent,
+              st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0, exclude_max=True),
+              st.integers(300, 323)),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 9999999999999998.0,
+                     0.9999999999999999, 2.9999999999999996]),
 )
 
 
@@ -556,6 +571,18 @@ class TestErrorPaths:
         assert code == 1
         assert f"empty item in rapidity list {etas.strip()!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("etas", ["1,x", "1,,2"])
+    def test_flag_and_config_give_the_same_reason(self, etas, tmp_path, capsys):
+        with pytest.raises(ConfigError) as reason:
+            cli._parse_etas(etas)
+        assert cli.main(["parton-scan", f"--etas={etas}"]) == 1
+        assert capsys.readouterr().err == f"covosc: error: argument --etas: {reason.value}\n"
+        cfg = tmp_path / "run.conf"
+        cfg.write_text(f"etas = {etas}\n")
+        assert cli.main(["parton-scan", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"covosc: error: bad config value for etas: {reason.value}\n")
+
 
 class TestParserReuse:
     GOOD = ["overlap", "--n-z", "2", "--etas=0,0.5,-1,3", "--format", "json"]
@@ -598,21 +625,26 @@ class TestStdout:
 
 
 class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*args):
+        # the child imports the same covosc as this test, with or without PYTHONPATH set
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "covosc", *args],
+                              capture_output=True, text=True, env=env)
+
     def test_python_dash_m(self, tmp_path):
         out = tmp_path / "scan.csv"
-        proc = subprocess.run(
-            [sys.executable, "-m", "covosc", "parton-scan", "--etas", "0,1",
-             "--output", str(out)],
-            capture_output=True, text=True)
+        proc = self.run_module("parton-scan", "--etas", "0,1", "--output", str(out))
         assert proc.returncode == 0, proc.stderr
         assert out.exists()
 
     def test_exit_code_propagates(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "covosc", "boost", "--eta", "99"],
-            capture_output=True, text=True)
+        proc = self.run_module("boost", "--eta", "99")
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("covosc: error:")
 
 
 class TestColumnRendering:
@@ -721,15 +753,23 @@ class TestColumnRendering:
         cfg = cli.RunConfig("boost", etas=(), format="json")
         assert cli.run(cfg) == render_json_oracle(cli._config_dict(cfg), [])
 
+    def test_seeded_doubles_over_every_exponent_match_the_oracle(self):
+        # random bit patterns spread evenly over every binary exponent
+        bits = np.random.default_rng(1015).integers(0, 2**64, 200_000, dtype=np.uint64)
+        values = bits.view(float)
+        values = values[np.abs(values) < 1e308]
+        assert cli._text_cells("x", values) == [
+            text_cell(quantize_cell(v)) for v in values.tolist()]
+
     def test_grid_axes_are_formatted_once_per_point(self, monkeypatch):
         calls = []
-        quantize = cli._quantize
+        text_cells = cli._text_cells
 
         def counting(name, values):
             calls.append((name, len(values)))
-            return quantize(name, values)
+            return text_cells(name, values)
 
-        monkeypatch.setattr(cli, "_quantize", counting)
+        monkeypatch.setattr(cli, "_text_cells", counting)
         cli.run(cli.RunConfig("grid", min=-1.0, max=1.0, step=0.01))
         results = [c for c in calls if c[0] in ("z", "t", "psi")]
         assert results == [("z", 201), ("t", 201), ("psi", 201 * 201)]
@@ -744,10 +784,10 @@ class TestRounding:
         assert row["beta"] == float("%.15g" % math.tanh(0.1))
 
     def test_largest_value_with_finite_text(self):
-        assert cli._quantize("x", [1.797693134862315e308, -1.797693134862315e308]) == [
-            1.79769313486231e308, -1.79769313486231e308]
+        assert cli._text_cells("x", [1.797693134862315e308, -1.797693134862315e308]) == [
+            "1.79769313486231e+308", "-1.79769313486231e+308"]
         with pytest.raises(NumericIntegrityError, match="1.7976931348623151e"):
-            cli._quantize("x", [0.0, np.nextafter(1.797693134862315e308, math.inf)])
+            cli._text_cells("x", [0.0, np.nextafter(1.797693134862315e308, math.inf)])
 
     def test_reparse_reproduces_values(self, tmp_path):
         args = ["marginal", "--axis", "u", "--eta", "1", "--min", "-4", "--max", "4",

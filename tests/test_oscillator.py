@@ -15,13 +15,19 @@ from covosc import (
     psi_boosted,
     psi_boosted_lightcone,
     psi_full,
-    psi_rest,
     separation_from_constituents,
 )
 
 LN2 = math.log(2.0)
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
+
+
+def psi_rest(state: OscillatorState, z, t):
+    """Oracle: rest-frame longitudinal wave function h_{n_z}(z) h_0(t); eta must be 0."""
+    if state.eta != 0.0:
+        raise DomainError("psi_rest requires eta = 0; use psi_boosted for a boosted state")
+    return hermite_function(state.n_z, z) * hermite_function(0, t)
 
 
 class TestState:
