@@ -13,7 +13,6 @@ from .analysis import (
     PartonScanRow,
     PdeResidualReport,
     marginal,
-    momentum_variance,
     norm,
     overlap,
     parton_scan,
@@ -47,8 +46,6 @@ from .oscillator import (
     OscillatorState,
     SeparationCoords,
     momentum_from_constituents,
-    phi_momentum,
-    phi_momentum_lightcone,
     psi_boosted,
     psi_boosted_lightcone,
     psi_full,
@@ -86,13 +83,10 @@ __all__ = [
     "hermite_function",
     "marginal",
     "momentum_from_constituents",
-    "momentum_variance",
     "norm",
     "overlap",
     "parton_scan",
     "pde_residual",
-    "phi_momentum",
-    "phi_momentum_lightcone",
     "psi_boosted",
     "psi_boosted_lightcone",
     "psi_full",

@@ -5,6 +5,11 @@ overlaps, marginal densities, squeeze widths, and dense grid renderings.
 All quadrature is laid out along the squeezed light-cone axes with per-axis
 scales e^{+-eta}, so node coverage tracks the state's support at any
 rapidity.
+
+Space-time and momentum-energy are one wave function: for every n_z,
+phi(q_z, q_0) = (-i)^{n_z} psi(q_z, q_0). So a momentum grid is psi_boosted
+evaluated at (q_z, q_0), which is the real amplitude i^{n_z} phi, and the
+momentum width sigma_qz is the same moment of |psi|^2 as sigma_z.
 """
 
 from __future__ import annotations
@@ -17,14 +22,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, NumericIntegrityError
 from .hermite import gauss_hermite, hermite_function
-from .kinematics import SQRT2, Rapidity, rapidity_value
-from .oscillator import (
-    OscillatorState,
-    phi_momentum,
-    phi_momentum_lightcone,
-    psi_boosted,
-    psi_boosted_lightcone,
-)
+from .kinematics import SQRT2, rapidity_value
+from .oscillator import OscillatorState, psi_boosted, psi_boosted_lightcone
 
 __all__ = [
     "DEFAULT_FD_STEP",
@@ -36,7 +35,6 @@ __all__ = [
     "PartonScanRow",
     "PdeResidualReport",
     "marginal",
-    "momentum_variance",
     "norm",
     "overlap",
     "parton_scan",
@@ -171,6 +169,16 @@ def _rule_arrays(order: int) -> tuple[np.ndarray, np.ndarray]:
     return rule.nodes, rule.exp_weights
 
 
+def _lightcone_rule(s_u: float, s_v: float, order: int):
+    """Gauss-Hermite product rule on the light-cone plane, scaled by s_u and s_v.
+
+    Returns the nodes u and their weights as columns, then the nodes v and
+    their weights as rows; the Jacobian s_u s_v is left to the caller.
+    """
+    x, w = _rule_arrays(order)
+    return s_u * x[:, None], w[:, None], s_v * x[None, :], w[None, :]
+
+
 def overlap(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_ORDER) -> float:
     """Inner product of the (z, t) sectors of two states, by 2-D quadrature.
 
@@ -181,13 +189,11 @@ def overlap(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_ORDER) 
     """
     if (a.n_x, a.n_y) != (b.n_x, b.n_y):
         raise DomainError("overlap requires equal transverse quantum numbers")
-    x, w = _rule_arrays(order)
     s_u = math.sqrt(2.0 / (math.exp(-2.0 * a.eta) + math.exp(-2.0 * b.eta)))
     s_v = math.sqrt(2.0 / (math.exp(2.0 * a.eta) + math.exp(2.0 * b.eta)))
-    u = s_u * x[:, None]
-    v = s_v * x[None, :]
+    u, w_u, v, w_v = _lightcone_rule(s_u, s_v, order)
     values = psi_boosted_lightcone(a, u, v) * psi_boosted_lightcone(b, u, v)
-    return float(s_u * s_v * np.sum(w[:, None] * w[None, :] * values))
+    return float(s_u * s_v * np.sum(w_u * w_v * values))
 
 
 def norm(state: OscillatorState, order: int = DEFAULT_ORDER) -> float:
@@ -221,30 +227,6 @@ def marginal(state: OscillatorState, axis: str, grid: GridSpec,
         density = scale * np.sum(
             w[None, :] * psi_boosted_lightcone(state, uu, vv) ** 2, axis=1)
     return FieldGrid(specs=(grid,), axes=(axis,), values=density)
-
-
-def momentum_variance(eta: Rapidity | float, order: int = DEFAULT_ORDER) -> float:
-    """Longitudinal momentum variance of the boosted ground state.
-
-    Computed by 2-D quadrature over (q_z, q_0) and cross-checked against the
-    closed form cosh(2 eta)/2; disagreement beyond 1e-8 marks broken numerics.
-    """
-    e = rapidity_value(eta)
-    state = OscillatorState(eta=e)
-    x, w = _rule_arrays(order)
-    s_u, s_v = math.exp(e), math.exp(-e)
-    q_u = s_u * x[:, None]
-    q_v = s_v * x[None, :]
-    q_z = (q_u - q_v) / SQRT2
-    density = phi_momentum_lightcone(state, q_u, q_v) ** 2
-    ww = (s_u * s_v) * w[:, None] * w[None, :]
-    total = float(np.sum(ww * density))
-    var = float(np.sum(ww * q_z * q_z * density)) / total
-    expected = 0.5 * math.cosh(2.0 * e)
-    if abs(var - expected) > 1e-8 * expected:
-        raise NumericIntegrityError(
-            f"momentum variance {var} deviates from the closed form {expected}")
-    return var
 
 
 def _check_cells(grid: GridSpec, budget: int) -> None:
@@ -337,36 +319,29 @@ def render_grid(state: OscillatorState, grid: GridSpec,
                 representation: str = "spacetime") -> FieldGrid:
     """Dense sampling of the wave function on a square grid.
 
-    representation "spacetime" samples psi on (z, t); "momentum" samples phi
-    on (q_z, q_0) and is limited to the longitudinal ground state.
+    representation "spacetime" samples psi on (z, t); "momentum" samples the
+    momentum-energy wave function on (q_z, q_0). Both are one function for
+    every n_z, phi(q_z, q_0) = (-i)^{n_z} psi(q_z, q_0), so both evaluate
+    psi_boosted, and the momentum values are the real amplitude i^{n_z} phi.
     values[i, j] corresponds to (first_axis[i], second_axis[j]). Grids of more
     than MAX_GRID_CELLS cells are refused with a ConfigError.
     """
     _check_cells(grid, MAX_GRID_CELLS)
-    pts = grid.points()
-    first = pts[:, None]
-    second = pts[None, :]
-    if representation == "spacetime":
-        values = psi_boosted(state, first, second)
-        axes = ("z", "t")
-    elif representation == "momentum":
-        values = phi_momentum(state, first, second)
-        axes = ("q_z", "q_0")
-    else:
+    axes = {"spacetime": ("z", "t"), "momentum": ("q_z", "q_0")}.get(representation)
+    if axes is None:
         raise DomainError(f"unknown representation {representation!r}")
+    pts = grid.points()
+    values = psi_boosted(state, pts[:, None], pts[None, :])
     return FieldGrid(specs=(grid, grid), axes=axes, values=values)
 
 
 def _spacetime_moments(eta: float, order: int) -> tuple[float, float, float]:
     """Second moments (u^2, v^2, z^2) of |psi_eta|^2 for the ground state."""
-    state = OscillatorState(eta=eta)
-    x, w = _rule_arrays(order)
     s_u, s_v = math.exp(eta), math.exp(-eta)
-    u = s_u * x[:, None]
-    v = s_v * x[None, :]
+    u, w_u, v, w_v = _lightcone_rule(s_u, s_v, order)
+    ww = (s_u * s_v) * w_u * w_v
     z = (u + v) / SQRT2
-    density = psi_boosted_lightcone(state, u, v) ** 2
-    ww = (s_u * s_v) * w[:, None] * w[None, :]
+    density = psi_boosted_lightcone(OscillatorState(eta=eta), u, v) ** 2
     total = float(np.sum(ww * density))
     m_u2 = float(np.sum(ww * u * u * density)) / total
     m_v2 = float(np.sum(ww * v * v * density)) / total
@@ -394,12 +369,14 @@ def parton_scan(etas, order: int = DEFAULT_ORDER) -> list[PartonScanRow]:
 
     sigma_u and sigma_v are the light-cone standard deviations of |psi|^2,
     sigma_z the longitudinal one, sigma_qz the longitudinal momentum width of
-    |phi|^2. Every value is cross-checked against its closed form
-    (sigma_u = e^eta/sqrt(2), sigma_v = e^-eta/sqrt(2),
-    sigma_z^2 = sigma_qz^2 = cosh(2 eta)/2). The spatial and momentum widths
-    grow together: their product cosh(2 eta)/2 rises without bound, which is
-    how one covariant state serves as both the rest-frame bound state and the
-    free-parton limit.
+    |phi|^2. Since phi(q_z, q_0) = (-i)^{n_z} psi(q_z, q_0) for every n_z,
+    |phi|^2 is |psi|^2 in momentum variables, and sigma_qz is read from the
+    same z-moment as sigma_z: one quadrature per rapidity. Every value is
+    cross-checked against its closed form (sigma_u = e^eta/sqrt(2),
+    sigma_v = e^-eta/sqrt(2), sigma_z^2 = sigma_qz^2 = cosh(2 eta)/2). The
+    spatial and momentum widths grow together: their product cosh(2 eta)/2
+    rises without bound, which is how one covariant state serves as both the
+    rest-frame bound state and the free-parton limit.
     """
     etas = [rapidity_value(e) for e in etas]
     if not etas:
@@ -408,13 +385,12 @@ def parton_scan(etas, order: int = DEFAULT_ORDER) -> list[PartonScanRow]:
     rows = []
     for e in etas:
         m_u2, m_v2, m_z2 = _spacetime_moments(e, order)
-        q_var = momentum_variance(e, order)
         row = PartonScanRow(
             eta=e,
             sigma_u=math.sqrt(m_u2),
             sigma_v=math.sqrt(m_v2),
             sigma_z=math.sqrt(m_z2),
-            sigma_qz=math.sqrt(q_var),
+            sigma_qz=math.sqrt(m_z2),
             aspect=math.sqrt(m_u2 / m_v2),
             time_dilation=math.sqrt(m_u2) / sigma_u0,
         )

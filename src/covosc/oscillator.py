@@ -9,6 +9,11 @@ everywhere, so squared wave functions integrate to one in any frame.
 A boost along z acts on the wave function's light-cone arguments as
 u -> u e^{-eta}, v -> v e^{eta}: one axis stretches while the other
 contracts, with unit Jacobian.
+
+The momentum-energy wave function needs no second implementation: the
+Fourier kernel q_z z - q_0 t is boost invariant and the transform of h_n is
+(-i)^n h_n, so phi(q_z, q_0) = (-i)^{n_z} psi_boosted(state, q_z, q_0) for
+every state.
 """
 
 from __future__ import annotations
@@ -23,20 +28,15 @@ from .hermite import DEGREE_MAX, hermite_function
 from .kinematics import SQRT2, Rapidity, rapidity_value
 
 __all__ = [
-    "INV_SQRT_PI",
     "MomentumCoords",
     "OscillatorState",
     "SeparationCoords",
     "momentum_from_constituents",
-    "phi_momentum",
-    "phi_momentum_lightcone",
     "psi_boosted",
     "psi_boosted_lightcone",
     "psi_full",
     "separation_from_constituents",
 ]
-
-INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -156,31 +156,3 @@ def psi_full(state: OscillatorState, x, y, z, t):
         * hermite_function(state.n_x, x)
         * hermite_function(state.n_y, y)
     )
-
-
-def phi_momentum(state: OscillatorState, q_z, q_0):
-    """Momentum-energy wave function of the longitudinal ground state.
-
-    The same squeezed Gaussian as the position-space function, acting on the
-    momentum light-cone components q_u = (q_0 + q_z)/sqrt(2) and
-    q_v = (q_0 - q_z)/sqrt(2):
-
-        (1/sqrt(pi)) exp(-(e^{-2 eta} q_u^2 + e^{2 eta} q_v^2) / 2).
-
-    Excited longitudinal states have no momentum representation here.
-    """
-    if state.n_z != 0:
-        raise CapabilityError("momentum representation is implemented for n_z = 0 only")
-    return phi_momentum_lightcone(state, (q_0 + q_z) / SQRT2, (q_0 - q_z) / SQRT2)
-
-
-def phi_momentum_lightcone(state: OscillatorState, q_u, q_v):
-    """phi_momentum as a function of the light-cone components q_u, q_v."""
-    if state.n_z != 0:
-        raise CapabilityError("momentum representation is implemented for n_z = 0 only")
-    a = math.exp(-state.eta) * q_u
-    b = math.exp(state.eta) * q_v
-    out = INV_SQRT_PI * np.exp(-0.5 * (a * a + b * b))
-    if np.ndim(out) == 0:
-        return float(out)
-    return out

