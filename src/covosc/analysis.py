@@ -349,14 +349,21 @@ def _spacetime_moments(eta: float, order: int) -> tuple[float, float, float]:
     return m_u2, m_v2, m_z2
 
 
+def ground_widths(eta: float) -> dict[str, float]:
+    """Closed-form standard deviations of the boosted ground state's |psi|^2, per axis.
+
+    sigma_z = sigma_t = sqrt(cosh(2 eta)/2), sigma_u = e^eta/sqrt(2) and
+    sigma_v = e^-eta/sqrt(2). The momentum width sigma_qz equals sigma_z.
+    """
+    sigma_z = math.sqrt(0.5 * math.cosh(2.0 * eta))
+    return {"z": sigma_z, "t": sigma_z, "u": math.exp(eta) / SQRT2, "v": math.exp(-eta) / SQRT2}
+
+
 def _check_scan_row(row: PartonScanRow) -> None:
     e = row.eta
-    targets = {
-        "sigma_u": math.exp(e) / SQRT2,
-        "sigma_v": math.exp(-e) / SQRT2,
-        "sigma_z": math.sqrt(0.5 * math.cosh(2.0 * e)),
-        "sigma_qz": math.sqrt(0.5 * math.cosh(2.0 * e)),
-    }
+    widths = ground_widths(e)
+    targets = {"sigma_u": widths["u"], "sigma_v": widths["v"],
+               "sigma_z": widths["z"], "sigma_qz": widths["z"]}
     for name, expected in targets.items():
         got = getattr(row, name)
         if abs(got - expected) > 1e-8 * expected:

@@ -72,8 +72,6 @@ _KEYS = {
     "etas": _Key(_parse_etas, None,
                  "comma-separated rapidity list (overlap: the first is the reference frame)"),
     "n_z": _Key(int, 0, "longitudinal excitation"),
-    "n_x": _Key(int, 0, "transverse x excitation"),
-    "n_y": _Key(int, 0, "transverse y excitation"),
     "min": _Key(float, None, "grid lower edge"),
     "max": _Key(float, None, "grid upper edge"),
     "step": _Key(float, None, "grid spacing"),
@@ -217,7 +215,7 @@ def _cmd_boost(cfg: RunConfig):
             for e in (cfg.etas if cfg.etas is not None else (cfg.eta,))]
     return {
         "eta": etas,
-        "beta": [kinematics.beta_from_rapidity(e).beta for e in etas],
+        "beta": [kinematics.beta_from_rapidity(e) for e in etas],
         "cosh_eta": [math.cosh(e) for e in etas],
         "sinh_eta": [math.sinh(e) for e in etas],
         "exp_eta": [math.exp(e) for e in etas],
@@ -232,7 +230,7 @@ def _state_half_width(state: OscillatorState) -> float:
 
 
 def _cmd_grid(cfg: RunConfig):
-    state = OscillatorState(cfg.n_z, cfg.n_x, cfg.n_y, cfg.eta)
+    state = OscillatorState(cfg.n_z, eta=cfg.eta)
     spec = _grid_spec(cfg, _state_half_width(state), default_points=61)
     field = analysis.render_grid(state, spec, cfg.representation)
     first, second = field.axes
@@ -247,13 +245,7 @@ def _cmd_grid(cfg: RunConfig):
 
 def _cmd_marginal(cfg: RunConfig):
     state = OscillatorState(cfg.n_z, 0, 0, cfg.eta)
-    sigma = {
-        "z": math.sqrt(0.5 * math.cosh(2.0 * state.eta)),
-        "t": math.sqrt(0.5 * math.cosh(2.0 * state.eta)),
-        "u": math.exp(state.eta) / math.sqrt(2.0),
-        "v": math.exp(-state.eta) / math.sqrt(2.0),
-    }[cfg.axis]
-    half = 4.0 * sigma * math.sqrt(state.n_z + 1.0)
+    half = 4.0 * analysis.ground_widths(state.eta)[cfg.axis] * math.sqrt(state.n_z + 1.0)
     spec = _grid_spec(cfg, half, default_points=201)
     field = analysis.marginal(state, cfg.axis, spec, cfg.order)
     return {cfg.axis: field.points(), "density": field.values}
@@ -309,7 +301,7 @@ class _Command(NamedTuple):
 _COMMANDS = {
     "boost": _Command("kinematic factors per rapidity", ("eta", "etas"), _cmd_boost),
     "grid": _Command("dense wave-function samples on a square grid",
-                     ("eta", "n_z", "n_x", "n_y", "min", "max", "step", "representation"),
+                     ("eta", "n_z", "min", "max", "step", "representation"),
                      _cmd_grid),
     "marginal": _Command("1-D probability density along one axis",
                          ("eta", "n_z", "min", "max", "step", "order", "axis"), _cmd_marginal),

@@ -1,8 +1,9 @@
-"""Boost kinematics: rapidity, light-cone coordinates, squeeze transformations.
+"""Boost kinematics: the validated rapidity and its velocity.
 
 Natural units throughout (c = 1). Boosts act along the longitudinal axis
-only, so everything here lives in the (z, t) plane and its light-cone
-rotation u = (z + t)/sqrt(2), v = (z - t)/sqrt(2).
+only. In the light-cone coordinates u = (z + t)/sqrt(2), v = (z - t)/sqrt(2)
+a boost by eta is the squeeze u -> e^{eta} u, v -> e^{-eta} v; the
+oscillator and analysis modules apply it to arrays.
 """
 
 from __future__ import annotations
@@ -15,17 +16,9 @@ from .errors import DomainError
 __all__ = [
     "ETA_MAX",
     "SQRT2",
-    "Beta",
-    "LightconePoint",
     "Rapidity",
-    "SpacetimePoint",
     "beta_from_rapidity",
-    "boost_point",
-    "from_lightcone",
-    "rapidity_from_beta",
     "rapidity_value",
-    "squeeze_lightcone",
-    "to_lightcone",
 ]
 
 # e^{2 eta} stays comfortably inside double range up to this cap; accuracy of
@@ -35,13 +28,6 @@ ETA_MAX = 50.0
 SQRT2 = math.sqrt(2.0)
 
 
-def _finite(name: str, value) -> float:
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Rapidity:
     """Additive boost parameter; the boost velocity is tanh(eta)."""
@@ -49,7 +35,9 @@ class Rapidity:
     eta: float = 0.0
 
     def __post_init__(self) -> None:
-        eta = _finite("rapidity", self.eta)
+        eta = float(self.eta)
+        if not math.isfinite(eta):
+            raise DomainError(f"rapidity must be finite, got {eta!r}")
         if abs(eta) > ETA_MAX:
             raise DomainError(f"|eta| = {abs(eta)} exceeds the cap {ETA_MAX}")
         object.__setattr__(self, "eta", eta)
@@ -62,80 +50,13 @@ def rapidity_value(eta: Rapidity | float) -> float:
     return Rapidity(eta).eta
 
 
-@dataclass(frozen=True)
-class Beta:
-    """Velocity in units of c, strictly inside (-1, 1)."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        beta = _finite("beta", self.beta)
-        if abs(beta) >= 1.0:
-            raise DomainError(f"superluminal velocity: |beta| = {abs(beta)} >= 1")
-        object.__setattr__(self, "beta", beta)
-
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """Longitudinal separation z and time separation t."""
-
-    z: float
-    t: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "z", _finite("z", self.z))
-        object.__setattr__(self, "t", _finite("t", self.t))
-
-
-@dataclass(frozen=True)
-class LightconePoint:
-    """Light-cone coordinates u = (z + t)/sqrt(2), v = (z - t)/sqrt(2)."""
-
-    u: float
-    v: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "u", _finite("u", self.u))
-        object.__setattr__(self, "v", _finite("v", self.v))
-
-
-def rapidity_from_beta(beta: Beta | float) -> Rapidity:
-    """Rapidity of a velocity, eta = arctanh(beta), via log1p for precision near +-1."""
-    if not isinstance(beta, Beta):
-        beta = Beta(beta)
-    b = beta.beta
-    return Rapidity(0.5 * (math.log1p(b) - math.log1p(-b)))
-
-
-def beta_from_rapidity(eta: Rapidity | float) -> Beta:
+def beta_from_rapidity(eta: Rapidity | float) -> float:
     """Velocity of a rapidity, beta = tanh(eta), clamped strictly inside (-1, 1).
 
     tanh rounds to +-1.0 in double precision once |eta| exceeds ~19; the clamp
     keeps the result a representable velocity.
     """
-    e = rapidity_value(eta)
-    b = math.tanh(e)
+    b = math.tanh(rapidity_value(eta))
     if abs(b) >= 1.0:
         b = math.copysign(math.nextafter(1.0, 0.0), b)
-    return Beta(b)
-
-
-def to_lightcone(p: SpacetimePoint) -> LightconePoint:
-    return LightconePoint((p.z + p.t) / SQRT2, (p.z - p.t) / SQRT2)
-
-
-def from_lightcone(p: LightconePoint) -> SpacetimePoint:
-    return SpacetimePoint((p.u + p.v) / SQRT2, (p.u - p.v) / SQRT2)
-
-
-def boost_point(p: SpacetimePoint, eta: Rapidity | float) -> SpacetimePoint:
-    """Boost (z, t) by rapidity eta: z' = z cosh + t sinh, t' = z sinh + t cosh."""
-    e = rapidity_value(eta)
-    ch, sh = math.cosh(e), math.sinh(e)
-    return SpacetimePoint(p.z * ch + p.t * sh, p.z * sh + p.t * ch)
-
-
-def squeeze_lightcone(p: LightconePoint, eta: Rapidity | float) -> LightconePoint:
-    """The same boost in light-cone form: u' = e^eta u, v' = e^-eta v."""
-    e = rapidity_value(eta)
-    return LightconePoint(math.exp(e) * p.u, math.exp(-e) * p.v)
+    return b

@@ -21,21 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import CapabilityError, DomainError
 from .hermite import DEGREE_MAX, hermite_function
-from .kinematics import SQRT2, Rapidity, rapidity_value
+from .kinematics import SQRT2, rapidity_value
 
 __all__ = [
-    "MomentumCoords",
     "OscillatorState",
-    "SeparationCoords",
-    "momentum_from_constituents",
     "psi_boosted",
     "psi_boosted_lightcone",
     "psi_full",
-    "separation_from_constituents",
 ]
 
 
@@ -64,62 +58,6 @@ class OscillatorState:
                 raise CapabilityError(f"{name} = {value} exceeds the cap {DEGREE_MAX}")
             object.__setattr__(self, name, value)
         object.__setattr__(self, "eta", rapidity_value(self.eta))
-
-    def with_rapidity(self, eta: Rapidity | float) -> "OscillatorState":
-        """Same quantum numbers viewed from another frame."""
-        return OscillatorState(self.n_z, self.n_x, self.n_y, eta)
-
-
-def _four_vector(name: str, value) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (4,):
-        raise DomainError(f"{name} must be a length-4 vector (t/E, x, y, z)")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True, eq=False)
-class SeparationCoords:
-    """Hadron center X and quark separation x, in (t, x, y, z) component order."""
-
-    X: np.ndarray
-    x: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class MomentumCoords:
-    """Total momentum P, separation momentum q, and q's light-cone components."""
-
-    P: np.ndarray
-    q: np.ndarray
-    q_u: float
-    q_v: float
-
-
-def separation_from_constituents(x_a, x_b) -> SeparationCoords:
-    """Center X = (x_a + x_b)/2 and separation x = (x_a - x_b)/(2 sqrt(2))."""
-    a = _four_vector("x_a", x_a)
-    b = _four_vector("x_b", x_b)
-    return SeparationCoords(X=(a + b) / 2.0, x=(a - b) / (2.0 * SQRT2))
-
-
-def momentum_from_constituents(p_a, p_b) -> MomentumCoords:
-    """Total P = p_a + p_b and separation q = sqrt(2) (p_a - p_b).
-
-    q_u and q_v are the light-cone components (q_0 + q_z)/sqrt(2) and
-    (q_0 - q_z)/sqrt(2) of the separation momentum.
-    """
-    a = _four_vector("p_a", p_a)
-    b = _four_vector("p_b", p_b)
-    q = SQRT2 * (a - b)
-    return MomentumCoords(
-        P=a + b,
-        q=q,
-        q_u=float((q[0] + q[3]) / SQRT2),
-        q_v=float((q[0] - q[3]) / SQRT2),
-    )
 
 
 def psi_boosted(state: OscillatorState, z, t):

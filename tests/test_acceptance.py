@@ -14,8 +14,6 @@ import numpy as np
 from covosc import (
     GridSpec,
     OscillatorState,
-    SpacetimePoint,
-    boost_point,
     cli,
     entropy,
     norm,
@@ -26,9 +24,8 @@ from covosc import (
     psi_full,
     purity,
     reduce,
-    squeeze_lightcone,
-    to_lightcone,
 )
+from scalar_kinematics import SpacetimePoint, boost_point, squeeze_lightcone, to_lightcone
 
 LN2 = math.log(2.0)
 SQRT2 = math.sqrt(2.0)

@@ -383,14 +383,15 @@ class TestConfigFile:
 # the keys each command reads besides format and output
 READS = {
     "boost": {"eta", "etas"},
-    "grid": {"eta", "n_z", "n_x", "n_y", "min", "max", "step", "representation"},
+    "grid": {"eta", "n_z", "min", "max", "step", "representation"},
     "marginal": {"eta", "n_z", "min", "max", "step", "order", "axis"},
     "overlap": {"etas", "n_z", "order"},
     "verify": {"eta", "n_z", "min", "max", "step", "order", "fd_step"},
     "parton-scan": {"etas", "order"},
     "entropy-scan": {"etas"},
 }
-# one valid value per key: its config text, its CSV echo and its JSON echo
+# one valid value per key: its config text, its CSV echo and its JSON echo;
+# n_x and n_y are no command's keys any more, so every command refuses them
 VALUES = {
     "eta": ("0.5", "0.5", 0.5),
     "etas": ("0, 0.5", "0.0,0.5", [0.0, 0.5]),
@@ -409,6 +410,42 @@ VALUES = {
 BASE = {command: ({"etas": "0,0.5"} if command in ("overlap", "parton-scan", "entropy-scan")
                   else {}) for command in READS}
 PAIRS = [(command, key) for command in READS for key in VALUES]
+# two values per (command, key) whose results differ outside the echo, on top
+# of LIVE_BASE: every key a command reads must reach what it computes
+LIVE = {
+    ("boost", "eta"): ("0.5", "1.5"),
+    ("boost", "etas"): ("0,0.5", "0,1.5"),
+    ("grid", "eta"): ("0.5", "1.5"),
+    ("grid", "n_z"): ("0", "1"),
+    ("grid", "min"): ("-2", "-1"),
+    ("grid", "max"): ("1", "2"),
+    ("grid", "step"): ("0.5", "0.25"),
+    ("grid", "representation"): ("spacetime", "momentum"),
+    ("marginal", "eta"): ("0.5", "1.5"),
+    ("marginal", "n_z"): ("0", "1"),
+    ("marginal", "min"): ("-2", "-1"),
+    ("marginal", "max"): ("1", "2"),
+    ("marginal", "step"): ("0.5", "0.25"),
+    ("marginal", "order"): ("2", "64"),
+    ("marginal", "axis"): ("z", "u"),
+    ("overlap", "etas"): ("0,0.5", "0,1.5"),
+    ("overlap", "n_z"): ("0", "1"),
+    ("overlap", "order"): ("2", "64"),
+    ("verify", "eta"): ("0.5", "1.5"),
+    ("verify", "n_z"): ("0", "1"),
+    ("verify", "min"): ("-2", "-1"),
+    ("verify", "max"): ("1", "2"),
+    ("verify", "step"): ("0.05", "0.1"),
+    ("verify", "order"): ("2", "64"),
+    ("verify", "fd_step"): ("0.01", "0.02"),
+    ("parton-scan", "etas"): ("0,0.5", "0,1.5"),
+    # the ground-state moments are exact from 2 nodes, so 2 and 3 differ by rounding
+    ("parton-scan", "order"): ("2", "3"),
+    ("entropy-scan", "etas"): ("0.5", "1.5"),
+}
+# at n_z = 3 an order of 2 is below the exact rule, so order changes the values
+LIVE_BASE = {**BASE, "marginal": {"n_z": "3"}, "overlap": {"etas": "0,0.5", "n_z": "3"},
+             "verify": {"n_z": "3"}}
 
 
 class TestConfigSchema:
@@ -444,6 +481,20 @@ class TestConfigSchema:
         assert code == 1
         assert not out.exists()
         assert f"{command} does not read config keys: {key}\n" in capsys.readouterr().err
+
+    def test_live_table_lists_every_read_key(self):
+        assert set(LIVE) == {(name, key) for name, spec in cli._COMMANDS.items()
+                             for key in spec.keys}
+
+    @pytest.mark.parametrize("command,key", LIVE)
+    def test_every_read_key_changes_the_result(self, command, key, tmp_path):
+        results = []
+        for value in LIVE[command, key]:
+            code, out = self.run_with_file(tmp_path, command, {**LIVE_BASE[command], key: value})
+            assert code == 0, (command, key, value)
+            results.append([line for line in out.read_text().splitlines()
+                            if not line.startswith("#")])
+        assert results[0] != results[1]
 
     @pytest.mark.parametrize("command", READS)
     def test_help_lists_exactly_the_schema_flags(self, command, capsys):

@@ -5,12 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covosc import (
-    Beta,
     DomainError,
-    LightconePoint,
+    OscillatorState,
     Rapidity,
-    SpacetimePoint,
     beta_from_rapidity,
+    psi_boosted_lightcone,
+)
+from scalar_kinematics import (
+    LightconePoint,
+    SpacetimePoint,
     boost_point,
     from_lightcone,
     rapidity_from_beta,
@@ -28,26 +31,26 @@ def arctanh_series(beta, terms=200):
 
 class TestRapidityBeta:
     def test_zero_is_zero(self):
-        assert rapidity_from_beta(0.0).eta == 0.0
-        assert beta_from_rapidity(0.0).beta == 0.0
+        assert rapidity_from_beta(0.0) == 0.0
+        assert beta_from_rapidity(0.0) == 0.0
 
     def test_beta_06_gives_ln2(self):
-        eta = rapidity_from_beta(0.6).eta
+        eta = rapidity_from_beta(0.6)
         assert eta == pytest.approx(0.693147180559945, abs=1e-14)
         assert eta == pytest.approx(arctanh_series(0.6), abs=1e-14)
 
     def test_beta_0995(self):
-        eta = rapidity_from_beta(0.995).eta
+        eta = rapidity_from_beta(0.995)
         # series converges too slowly at 0.995; libm atanh is the second route
         assert eta == pytest.approx(math.atanh(0.995), abs=1e-13)
         assert eta == pytest.approx(2.994480708444932, abs=1e-11)
 
     def test_tanh_ln2_is_rational(self):
         # tanh(ln 2) = (4 - 1)/(4 + 1)
-        assert beta_from_rapidity(LN2).beta == pytest.approx(0.6, abs=1e-15)
+        assert beta_from_rapidity(LN2) == pytest.approx(0.6, abs=1e-15)
 
     def test_large_rapidity_clamps_strictly_below_one(self):
-        b = beta_from_rapidity(50.0).beta
+        b = beta_from_rapidity(50.0)
         assert b < 1.0
         assert b >= math.nextafter(1.0, 0.0)
         # the true gap 1 - tanh(50) = 2 e^{-100}/(1 + e^{-100}) is far below
@@ -55,9 +58,14 @@ class TestRapidityBeta:
         assert 2.0 * math.exp(-100.0) < 1e-21
 
     def test_superluminal_rejected(self):
+        # the oracle refuses a velocity outside (-1, 1); the library only maps
+        # validated rapidities to velocities and refuses every other rapidity
         for bad in (1.0, -1.0, 1.5, float("nan")):
-            with pytest.raises(DomainError):
+            with pytest.raises(ValueError):
                 rapidity_from_beta(bad)
+        for bad in (50.5, -51.0, float("inf"), float("nan")):
+            with pytest.raises(DomainError):
+                beta_from_rapidity(bad)
 
     def test_rapidity_cap(self):
         with pytest.raises(DomainError):
@@ -69,7 +77,7 @@ class TestRapidityBeta:
     @given(st.floats(min_value=-0.999999, max_value=0.999999))
     @settings(max_examples=300)
     def test_round_trip(self, beta):
-        back = beta_from_rapidity(rapidity_from_beta(beta)).beta
+        back = beta_from_rapidity(rapidity_from_beta(beta))
         assert abs(back - beta) <= 1e-12
 
 
@@ -194,10 +202,27 @@ class TestInvariants:
 
 class TestValidation:
     def test_points_must_be_finite(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             SpacetimePoint(float("nan"), 0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError):
             LightconePoint(0.0, float("inf"))
 
     def test_beta_type_accepts_interior_values(self):
-        assert Beta(0.999999999).beta == 0.999999999
+        # the velocity is a plain float, and one close to 1 survives the round trip
+        beta = beta_from_rapidity(rapidity_from_beta(0.999999999))
+        assert type(beta) is float
+        assert beta == pytest.approx(0.999999999, abs=1e-15)
+
+
+class TestLibrarySqueeze:
+    """The scalar squeeze above against the boost the library applies to arrays."""
+
+    @given(point_coords, point_coords, rapidities, st.integers(min_value=0, max_value=8))
+    @settings(max_examples=300)
+    def test_boosted_state_at_squeezed_point_is_rest_state(self, z, t, eta, n_z):
+        # covariance: psi_eta at the boosted point is psi_0 at the original one
+        lc = to_lightcone(SpacetimePoint(z, t))
+        sq = squeeze_lightcone(lc, eta)
+        boosted = psi_boosted_lightcone(OscillatorState(n_z=n_z, eta=eta), sq.u, sq.v)
+        rest = psi_boosted_lightcone(OscillatorState(n_z=n_z), lc.u, lc.v)
+        assert abs(boosted - rest) <= 1e-13

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,12 +11,11 @@ from covosc import (
     OscillatorState,
     Rapidity,
     hermite_function,
-    momentum_from_constituents,
     psi_boosted,
     psi_boosted_lightcone,
     psi_full,
-    separation_from_constituents,
 )
+from scalar_kinematics import SpacetimePoint, to_lightcone
 
 LN2 = math.log(2.0)
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -48,6 +49,35 @@ def phi_by_fourier(state, q_z, q_0):
     return kernel_z @ psi @ kernel_t.T / (2.0 * math.pi)
 
 
+def four_vector(name: str, value) -> np.ndarray:
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != (4,):
+        raise DomainError(f"{name} must be a length-4 vector (t/E, x, y, z)")
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{name} must be finite")
+    return arr
+
+
+def separation_from_constituents(x_a, x_b):
+    """Oracle: center X = (x_a + x_b)/2 and separation x = (x_a - x_b)/(2 sqrt(2))."""
+    a = four_vector("x_a", x_a)
+    b = four_vector("x_b", x_b)
+    return SimpleNamespace(X=(a + b) / 2.0, x=(a - b) / (2.0 * SQRT2))
+
+
+def momentum_from_constituents(p_a, p_b):
+    """Oracle: total P = p_a + p_b and separation q = sqrt(2) (p_a - p_b).
+
+    q_u and q_v are the light-cone components (q_0 + q_z)/sqrt(2) and
+    (q_0 - q_z)/sqrt(2) of the separation momentum.
+    """
+    a = four_vector("p_a", p_a)
+    b = four_vector("p_b", p_b)
+    q = SQRT2 * (a - b)
+    return SimpleNamespace(P=a + b, q=q, q_u=float((q[0] + q[3]) / SQRT2),
+                           q_v=float((q[0] - q[3]) / SQRT2))
+
+
 def psi_rest(state: OscillatorState, z, t):
     """Oracle: rest-frame longitudinal wave function h_{n_z}(z) h_0(t); eta must be 0."""
     if state.eta != 0.0:
@@ -65,8 +95,11 @@ class TestState:
         assert s.eta == 0.5
 
     def test_with_rapidity(self):
-        s = OscillatorState(n_z=2, n_x=1).with_rapidity(1.5)
+        # another frame is dataclasses.replace, which validates the new rapidity
+        s = dataclasses.replace(OscillatorState(n_z=2, n_x=1), eta=1.5)
         assert (s.n_z, s.n_x, s.n_y, s.eta) == (2, 1, 0, 1.5)
+        with pytest.raises(DomainError):
+            dataclasses.replace(s, eta=51.0)
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -193,14 +226,14 @@ class TestPsiBoosted:
             np.testing.assert_allclose(psi_boosted(s, z, t), want, rtol=0.0, atol=1e-13)
 
     def test_lightcone_entry_point_agrees(self):
+        # at the image of each point under the scalar light-cone map; eta = 0
+        # takes psi_boosted's rest-frame branch
         rng = np.random.default_rng(6)
-        z = rng.uniform(-3.0, 3.0, 50)
-        t = rng.uniform(-3.0, 3.0, 50)
-        s = OscillatorState(n_z=2, eta=1.2)
-        u = (z + t) / SQRT2
-        v = (z - t) / SQRT2
-        np.testing.assert_allclose(
-            psi_boosted_lightcone(s, u, v), psi_boosted(s, z, t), rtol=0.0, atol=1e-13)
+        for n_z, eta in [(0, 0.0), (2, 1.2), (3, -0.7), (5, -5.0), (8, 0.0), (8, 5.0)]:
+            s = OscillatorState(n_z=n_z, eta=eta)
+            for z, t in rng.uniform(-6.0, 6.0, (50, 2)):
+                lc = to_lightcone(SpacetimePoint(z, t))
+                assert abs(psi_boosted_lightcone(s, lc.u, lc.v) - psi_boosted(s, z, t)) <= 1e-13
 
     def test_normalization_is_eta_independent_scalar_type(self):
         value = psi_boosted(OscillatorState(eta=1.0), 0.3, -0.2)
