@@ -33,6 +33,8 @@ REQUESTS = [
     ["parton-scan", "--etas=0,0.5,2,-3"],
     ["entropy-scan", "--etas=0,1e-300,0.7,4,-50"],
     ["grid", "--eta=60"],
+    # most cells are exact zeros (some -0.0); some are subnormal or normal below 1e-280
+    ["grid", "--eta=1.9", "--n-z", "3", "--min=-20", "--max=20", "--step=0.25"],
 ]
 
 CASES = [[*argv, "--format", fmt] for argv in REQUESTS for fmt in ("csv", "json")]
