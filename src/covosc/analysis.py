@@ -371,6 +371,16 @@ def _check_scan_row(row: PartonScanRow) -> None:
                 f"{name} = {got} at eta = {e} deviates from the closed form {expected}")
 
 
+def _positive_moments(eta: float, order: int) -> tuple[float, float, float]:
+    # a one-node rule puts its node at the origin, where every second moment is 0
+    moments = _spacetime_moments(eta, order)
+    if not all(m > 0.0 for m in moments):
+        raise NumericIntegrityError(
+            f"quadrature order {order} gives second moments {moments} at eta = {eta}; "
+            "the widths need positive ones")
+    return moments
+
+
 def parton_scan(etas, order: int = DEFAULT_ORDER) -> list[PartonScanRow]:
     """Quadrature widths of the boosted ground state, one row per rapidity.
 
@@ -388,10 +398,10 @@ def parton_scan(etas, order: int = DEFAULT_ORDER) -> list[PartonScanRow]:
     etas = [rapidity_value(e) for e in etas]
     if not etas:
         raise DomainError("etas must be nonempty")
-    sigma_u0 = math.sqrt(_spacetime_moments(0.0, order)[0])
+    sigma_u0 = math.sqrt(_positive_moments(0.0, order)[0])
     rows = []
     for e in etas:
-        m_u2, m_v2, m_z2 = _spacetime_moments(e, order)
+        m_u2, m_v2, m_z2 = _positive_moments(e, order)
         row = PartonScanRow(
             eta=e,
             sigma_u=math.sqrt(m_u2),

@@ -38,7 +38,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import analysis, kinematics, rest_of_universe
+from . import _textmatrix, analysis, kinematics, rest_of_universe
 from .analysis import GridSpec
 from .errors import ConfigError, CovoscError, NumericIntegrityError
 from .oscillator import OscillatorState
@@ -321,9 +321,26 @@ _COMMANDS = {
 _LARGEST_WRITTEN = 1.797693134862315e308
 
 
+# tables with at least this many rows are written from byte matrices, whose
+# fixed cost of about 90 us per column passes the per-cell texts' near 250 rows
+_MATRIX_ROWS = 250
+# rows of such a table assembled at a time; keeps the temporaries small
+_BLOCK_ROWS = 4096
+
+
 # a grid's far corners underflow to exact zeros, most of the cells of some grids:
 # map them without reading the text back
 _ZEROS = {"0": "0.0", "-0": "-0.0"}
+
+
+def _floats(name: str, values: np.ndarray) -> np.ndarray:
+    """values as doubles; refuses NaN, Inf and a finite value that rounds to Inf."""
+    values = values.astype(float, copy=False)
+    finite = np.abs(values) <= _LARGEST_WRITTEN
+    if not finite.all():
+        raise NumericIntegrityError(
+            f"value {values[~finite][0]!r} in {name} is not finite at 15 significant digits")
+    return values
 
 
 def _text_cells(name: str, values) -> list[str]:
@@ -332,16 +349,14 @@ def _text_cells(name: str, values) -> list[str]:
     A float cell is repr(float(f"{x:.15g}")), made by one %.15g pass; only a
     text the cheap test below cannot vouch for is read back. Formats position
     by position, never by value, so -0.0 stays -0.0. Refuses NaN, Inf and a
-    finite value that rounds to Inf.
+    finite value that rounds to Inf. Tables of fewer than _MATRIX_ROWS rows
+    are written from these texts; larger ones from _text_matrix, which calls
+    this only for its int columns and for the few floats it leaves.
     """
     values = np.asarray(values)
     if values.dtype.kind in "iu":
         return list(map(repr, values.tolist()))
-    values = values.astype(float, copy=False)
-    finite = np.abs(values) <= _LARGEST_WRITTEN
-    if not finite.all():
-        raise NumericIntegrityError(
-            f"value {values[~finite][0]!r} in {name} is not finite at 15 significant digits")
+    values = _floats(name, values)
     # a 15-digit text is the repr of the double it reads back as, except that
     # repr adds ".0" to an integral text, writes exponent 15 positionally and
     # may need fewer digits for a subnormal (the test sends back every e-3xx).
@@ -350,6 +365,29 @@ def _text_cells(name: str, values) -> list[str]:
     return [t if ("." in t or "e" in t) and t[-4:] != "e+15" and t[-5:-2] != "e-3"
             else _ZEROS.get(t) or repr(float(t))
             for x in values.tolist() for t in ("%.15g" % x,)]
+
+
+def _byte_rows(texts: list[str], width: int = 0) -> np.ndarray:
+    """texts as the rows of a uint8 matrix, 0-padded to width (default: the longest)."""
+    array = np.array(texts, dtype=f"S{width}")
+    return array.view(np.uint8).reshape(len(texts), array.itemsize)
+
+
+def _text_matrix(name: str, values) -> np.ndarray:
+    """Cells of one column as rows of a uint8 matrix: each the _text_cells text with 0 bytes added.
+
+    Floats are written by _textmatrix.float_matrix; the few it leaves
+    (subnormals, near-ties, |x| > 1e280) and int columns go through
+    _text_cells and are copied in.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind in "iu":
+        return _byte_rows(_text_cells(name, values))
+    values = _floats(name, values)
+    matrix, rest = _textmatrix.float_matrix(values)
+    if rest.any():
+        matrix[rest] = _byte_rows(_text_cells(name, values[rest]), _textmatrix.WIDTH)
+    return matrix
 
 
 def _cells(table: dict) -> list[list[str]]:
@@ -391,24 +429,89 @@ def _echo(value) -> str:
     return str(value)
 
 
+def _narrow(matrix: np.ndarray) -> np.ndarray:
+    """The same texts with their bytes left-justified, as wide as the longest."""
+    kept = matrix != 0
+    width = kept.sum(axis=1)
+    out = np.zeros((len(matrix), width.max(initial=0)), np.uint8)
+    out[np.arange(out.shape[1]) < width[:, None]] = matrix[kept]
+    return out
+
+
+def _rows(table: dict) -> int:
+    return min(len(c.index) if isinstance(c, _Indexed) else len(c) for c in table.values())
+
+
+def _row_blocks(table: dict, literals: list[str]):
+    """The table's rows as bytes, in blocks: literals[0], cell, literals[1], ..., cell, literals[-1].
+
+    An _Indexed column is formatted once and gathered by its index, any other
+    column block by block; every column is refused up front, in table order,
+    if it holds a value _text_cells refuses. Within a block the cells are rows
+    of byte matrices set side by side with the literal bytes, and one mask
+    drops their 0 bytes.
+    """
+    columns = []
+    for name, column in table.items():
+        if isinstance(column, _Indexed):
+            columns.append((name, _narrow(_text_matrix(name, column.values)), column.index))
+        else:
+            values = np.asarray(column)
+            if values.dtype.kind not in "iu":
+                values = _floats(name, values)
+            columns.append((name, values, None))
+    fixed = [np.frombuffer(text.encode(), np.uint8) for text in literals]
+    nrows = _rows(table)
+    for start in range(0, nrows, _BLOCK_ROWS):
+        rows = slice(start, min(start + _BLOCK_ROWS, nrows))
+        n = rows.stop - rows.start
+        parts = [np.broadcast_to(fixed[0], (n, len(fixed[0])))]
+        for (name, values, index), text in zip(columns, fixed[1:]):
+            parts.append(_text_matrix(name, values[rows]) if index is None
+                         else np.take(values, index[rows], axis=0))
+            parts.append(np.broadcast_to(text, (n, len(text))))
+        block = np.concatenate(parts, axis=1).ravel()
+        yield np.compress(block != 0, block).tobytes()
+
+
+def _joined(parts: list[bytes]) -> str:
+    text = b"".join(parts)
+    # the blocks are copied into text: free them before the str is made
+    parts.clear()
+    return text.decode()
+
+
 def _render_csv(cfg: RunConfig, table: dict) -> str:
     lines = [f"# covosc {cfg.command}"]
     for key, value in _config_dict(cfg).items():
         lines.append(f"# {key} = {_echo(value)}")
     lines.append(",".join(table))
+    if _rows(table) >= _MATRIX_ROWS:
+        literals = [""] + [","] * (len(table) - 1) + ["\n"]
+        return _joined(["\n".join(lines + [""]).encode(), *_row_blocks(table, literals)])
     lines.extend(map(",".join, zip(*_cells(table))))
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines + [""])
 
 
 def _render_json(cfg: RunConfig, table: dict) -> str:
     # the bytes of json.dumps({"config": ..., "results": [...]}, indent=2):
     # the config through json, each result object through one template
     head = json.dumps({"config": _config_dict(cfg)}, indent=2, allow_nan=False)
-    keys = [json.dumps(name).replace("%", "%%") for name in table]
+    head = f'{head[:-2]},\n  "results": '
+    keys = [json.dumps(name) for name in table]
+    if _rows(table) >= _MATRIX_ROWS:
+        literals = ([f"    {{\n      {keys[0]}: "] + [f",\n      {key}: " for key in keys[1:]]
+                    + ["\n    },\n"])
+        parts = [f"{head}[\n".encode(), *_row_blocks(table, literals)]
+        # no separator after the last object
+        parts[-1] = parts[-1][:-2]
+        parts.append(b"\n  ]\n}\n")
+        return _joined(parts)
+    keys = [key.replace("%", "%%") for key in keys]
     template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
     rows = ",\n".join(template % row for row in zip(*_cells(table)))
     results = f"[\n{rows}\n  ]" if rows else "[]"
-    return f'{head[:-2]},\n  "results": {results}\n}}\n'
+    return f"{head}{results}\n}}\n"
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -364,6 +364,11 @@ class TestPartonScan:
         with pytest.raises(DomainError):
             parton_scan([])
 
+    def test_one_node_rule_refused(self):
+        # the one node sits at the origin, where every second moment is 0
+        with pytest.raises(NumericIntegrityError, match="quadrature order 1 "):
+            parton_scan([0.0, 0.5], order=1)
+
 
 class TestRenderGrid:
     def test_shape_and_peak(self):

@@ -7,8 +7,10 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -188,6 +190,16 @@ class TestPartonScanCommand:
         code, _ = run_cli(["parton-scan"], tmp_path, "scan.csv")
         assert code == 1
         assert "etas" in capsys.readouterr().err
+
+    def test_one_node_rule_exits_2(self, tmp_path, capsys):
+        # the one node sits at the origin, so every second moment is 0
+        code, out = run_cli(
+            ["parton-scan", "--etas", "0,0.5,1", "--order", "1"], tmp_path, "scan.csv")
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("covosc: numeric integrity: quadrature order 1 ")
 
 
 class TestVerifyCommand:
@@ -698,6 +710,21 @@ class TestModuleEntryPoint:
         assert proc.stderr.startswith("covosc: error:")
 
 
+@contextlib.contextmanager
+def through_byte_matrices():
+    """Every table with a row is written from byte matrices, whatever its size."""
+    with mock.patch.object(cli, "_MATRIX_ROWS", 1):
+        yield
+
+
+def csv_body(table) -> list[list[str]]:
+    """The cells of table as the CSV renderer writes them, one list per row."""
+    lines = cli._render_csv(cli.RunConfig("boost"), table).split("\n")
+    header = [i for i, line in enumerate(lines) if not line.startswith("#")][0]
+    assert lines[header] == ",".join(table) and lines[-1] == ""
+    return [line.split(",") for line in lines[header + 1:-1]]
+
+
 class TestColumnRendering:
     @staticmethod
     def assert_matches_oracle(column, cells):
@@ -707,9 +734,9 @@ class TestColumnRendering:
             [quantize_cell(v) for v in checked]
         except NumericIntegrityError:
             with pytest.raises(NumericIntegrityError):
-                cli._cells({"x": column})
+                csv_body({"x": column})
             return
-        (texts,) = cli._cells({"x": column})
+        texts = [t for (t,) in csv_body({"x": column})]
         assert texts == [text_cell(quantize_cell(v)) for v in cells]
         # json reads each text as the quantized value; repr tells -0.0 from 0.0
         assert [repr(json.loads(t)) for t in texts] == [repr(quantize_cell(v)) for v in cells]
@@ -719,6 +746,12 @@ class TestColumnRendering:
     def test_float_column_matches_per_cell_oracle(self, values):
         self.assert_matches_oracle(np.array(values), values)
 
+    @given(st.lists(FLOATS, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_float_column_through_byte_matrices(self, values):
+        with through_byte_matrices():
+            self.assert_matches_oracle(np.array(values), values)
+
     @given(st.lists(FLOATS, min_size=1, max_size=8), st.data())
     @settings(max_examples=200, deadline=None)
     def test_indexed_column_matches_per_cell_oracle(self, values, data):
@@ -726,11 +759,26 @@ class TestColumnRendering:
         column = cli._Indexed(np.array(values), np.array(index, dtype=np.intp))
         self.assert_matches_oracle(column, [values[i] for i in index])
 
+    @given(st.lists(FLOATS, min_size=1, max_size=8), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_indexed_column_through_byte_matrices(self, values, data):
+        index = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=40))
+        column = cli._Indexed(np.array(values), np.array(index, dtype=np.intp))
+        with through_byte_matrices():
+            self.assert_matches_oracle(column, [values[i] for i in index])
+
     @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
     @settings(max_examples=100, deadline=None)
     def test_int_column_matches_per_cell_oracle(self, values):
         column = np.array(values, dtype=np.int64)
         self.assert_matches_oracle(column, list(column))
+
+    @given(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=40))
+    @settings(max_examples=100, deadline=None)
+    def test_int_column_through_byte_matrices(self, values):
+        column = np.array(values, dtype=np.int64)
+        with through_byte_matrices():
+            self.assert_matches_oracle(column, list(column))
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     # the last two are finite, but their 15-digit text reads back as inf
@@ -738,6 +786,18 @@ class TestColumnRendering:
                                      1.7976931348623151e308, -1.7976931348623157e308])
     @pytest.mark.parametrize("where", ["z", "t", "psi"])
     def test_non_finite_in_any_column_exits_2(self, fmt, bad, where, monkeypatch, capsys):
+        self.assert_non_finite_exits_2(fmt, bad, where, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.7976931348623151e308])
+    @pytest.mark.parametrize("where", ["z", "t", "psi"])
+    def test_non_finite_through_byte_matrices_exits_2(self, fmt, bad, where, monkeypatch,
+                                                       capsys):
+        with through_byte_matrices():
+            self.assert_non_finite_exits_2(fmt, bad, where, monkeypatch, capsys)
+
+    @staticmethod
+    def assert_non_finite_exits_2(fmt, bad, where, monkeypatch, capsys):
         axis = np.array([-1.0, 0.0, 1.0])
         table = {
             "z": cli._Indexed(axis.copy(), np.repeat(np.arange(3), 3)),
@@ -757,6 +817,16 @@ class TestColumnRendering:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_json_bytes_match_the_json_dumps_oracle(self, data):
+        self.assert_json_matches_oracle(data)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_json_bytes_through_byte_matrices(self, data):
+        with through_byte_matrices():
+            self.assert_json_matches_oracle(data)
+
+    @staticmethod
+    def assert_json_matches_oracle(data):
         nrows = data.draw(st.integers(1, 50))
         names = data.draw(st.lists(st.sampled_from(["eta", "psi", "n_z", "q%sz", 'a"b', "\u03b7"]),
                                    min_size=1, max_size=4, unique=True))
@@ -812,18 +882,81 @@ class TestColumnRendering:
         assert cli._text_cells("x", values) == [
             text_cell(quantize_cell(v)) for v in values.tolist()]
 
+    def test_million_doubles_through_byte_matrices_match_the_oracle(self):
+        rng = np.random.default_rng(2027)
+        sign = lambda v: v * rng.choice([-1.0, 1.0], len(v))  # noqa: E731
+        # every binary exponent, subnormals included
+        bits = rng.integers(0, 2**64, 340_000, dtype=np.uint64).view(float)
+        # 400 values in every decade from 1e-323 to 1e308
+        decades = np.array([f"{m!r}e{k}" for k in range(-323, 309)
+                            for m in rng.uniform(1.0, 10.0, 400).tolist()]).astype(float)
+        # 16-digit integers ending in 5: exact ties at 15 digits
+        ties = (rng.integers(10**14, 2**53 // 10, 50_000) * 10 + 5).astype(float)
+        # the doubles nearest the half-way points between 15-digit decimals, and
+        # one ulp either side
+        halves = np.array([f"{m}5e{k}" for m, k in zip(
+            rng.integers(10**14, 10**15, 100_000).tolist(),
+            rng.integers(-320, 290, 100_000).tolist())]).astype(float)
+        halves = np.concatenate([halves, np.nextafter(halves, -np.inf),
+                                 np.nextafter(halves, np.inf)])
+        # both sides of the positional layout's edges, e = -5/-4 and 15/16
+        edges = np.array([1e-5, 1e-4, 1e15, 1e16])[:, None] * rng.uniform(0.9, 1.1, 10_000)
+        edge_steps = np.array([step_ulps(x, n) for x in (1e-5, 1e-4, 1e15, 1e16,
+                                                         9.999999999999995e-05, 9999999999999995.0)
+                               for n in range(-8, 9)])
+        subnormals = rng.integers(1, 2**52, 20_000, dtype=np.uint64).view(float)
+        extremes = np.array([0.0, -0.0, 5e-324, 1.797693134862315e308, -1.797693134862315e308])
+        values = np.concatenate([bits, sign(decades), sign(ties), sign(halves),
+                                 sign(edges.ravel()), edge_steps, sign(subnormals), extremes])
+        values = values[np.abs(values) <= 1.797693134862315e308]
+        assert len(values) >= 1_000_000
+
+        texts = (np.concatenate([cli._text_matrix("x", values),
+                                 np.full((len(values), 1), ord("\n"), np.uint8)], axis=1)
+                 .ravel())
+        texts = np.compress(texts != 0, texts).tobytes().decode().split("\n")[:-1]
+        assert texts == [text_cell(quantize_cell(v)) for v in values.tolist()]
+
+        # the values left to _text_cells are subnormals, beyond 1e280, or within
+        # 1e-7 of a tie at 15 digits
+        _, rest = cli._textmatrix.float_matrix(values)
+        left = np.abs(values[rest])
+        for x in left[(left >= TINY) & (left <= 1e280)].tolist():
+            scaled = Fraction(x) * Fraction(10) ** (14 - math.floor(math.log10(x)))
+            # log10 may round up to the next power of ten
+            if scaled < 10**14:
+                scaled *= 10
+            assert abs(scaled - math.floor(scaled) - Fraction(1, 2)) < 1e-7, x
+
     def test_grid_axes_are_formatted_once_per_point(self, monkeypatch):
         calls = []
-        text_cells = cli._text_cells
+        text_matrix = cli._text_matrix
 
         def counting(name, values):
             calls.append((name, len(values)))
-            return text_cells(name, values)
+            return text_matrix(name, values)
 
-        monkeypatch.setattr(cli, "_text_cells", counting)
+        monkeypatch.setattr(cli, "_text_matrix", counting)
         cli.run(cli.RunConfig("grid", min=-1.0, max=1.0, step=0.01))
-        results = [c for c in calls if c[0] in ("z", "t", "psi")]
-        assert results == [("z", 201), ("t", 201), ("psi", 201 * 201)]
+        assert [c for c in calls if c[0] in ("z", "t")] == [("z", 201), ("t", 201)]
+        # psi is formatted block by block, each of its values once
+        psi = [n for name, n in calls if name == "psi"]
+        assert sum(psi) == 201 * 201 and max(psi) <= cli._BLOCK_ROWS
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_size_rule_selects_the_path(self, fmt, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("wrong path")
+
+        rows = cli._MATRIX_ROWS
+        small = cli.RunConfig("marginal", min=0.0, max=rows - 2.0, step=1.0, format=fmt)
+        large = cli.RunConfig("marginal", min=0.0, max=rows - 1.0, step=1.0, format=fmt)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_text_matrix", refuse)
+            assert cli.run(small).count("\n") > rows - 1
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_cells", refuse)
+            assert cli.run(large).count("\n") > rows
 
 
 class TestRounding:
