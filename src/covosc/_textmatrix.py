@@ -28,12 +28,13 @@ from types import SimpleNamespace
 
 import numpy as np
 
-__all__ = ["WIDTH", "float_matrix"]
+__all__ = ["BLOCK", "WIDTH", "float_matrix"]
 
 WIDTH = 32
 
-# rows formatted at a time: keeps the temporaries near 3 MB
-_BLOCK = 1 << 15
+# rows formatted at a time: each temporary stays within 128 kB, where the
+# allocator reuses freed memory instead of mapping fresh pages
+BLOCK = 4096
 
 _TINY = 2.2250738585072014e-308  # smallest normal double
 _LARGEST = 1e280  # Dekker's split of a larger value overflows
@@ -110,15 +111,17 @@ def _tables() -> SimpleNamespace:
 
     i = np.arange(10_000)
     chunks = np.stack([i // 1000, i // 100 % 10, i // 10 % 10, i % 10], axis=1) + 48
-    # the count of digits up to the last nonzero one in a 4-digit chunk; 2
-    # for 0, which only the leading chunk of a zero value reads
+    # per chunk j of m and its value: the count of m's digits up to the
+    # chunk's last nonzero one, or 0 (the first chunk's digits start at its
+    # second byte; a zero m counts 1, as 0.0 has one digit)
     last = 4 - (i % 10 == 0) - (i % 100 == 0) - (i % 1000 == 0)
-    last[0] = 2
+    upto = np.where(i > 0, last + 4 * np.arange(4)[:, None] - 1, 0).astype(np.uint8)
+    upto[0, 0] = 1
     return SimpleNamespace(
         product=np.stack([scale, hi, *_split(hi), lo]), fixed=_words(fixed.reshape(len(e), WIDTH)),
         code=(dot * 20 + end).ravel(), body=_words(body),
         chunks=np.ascontiguousarray(chunks, dtype=np.uint8).view(np.uint32).ravel(),
-        last=last, zeros=np.frombuffer(b"000\0", np.uint32)[0])
+        upto=upto, zeros=np.frombuffer(b"000\0", np.uint32)[0])
 
 
 def _mantissa(t, x, row):
@@ -133,7 +136,8 @@ def _mantissa(t, x, row):
     # v = m + frac; p - m is exact, they are within one half of each other
     frac = (p - m) + (err + xs * lo)
     below = (m < 1e14) | ((m == 1e14) & (frac < 0.0))
-    m += (frac > 0.5).astype(float) - (frac < -0.5)
+    # |frac| < 1, so rint(frac) is the step to the nearest integer (0 at a tie)
+    m += np.rint(frac)
     return m, below, np.abs(np.abs(frac) - 0.5) < _TIE
 
 
@@ -153,10 +157,12 @@ def _format_block(x, out, rest) -> None:
     if off.size:
         row[off] += np.where(up[off], 1, -1)
         m[off], _, tie = _mantissa(t, safe[off], row[off])
+        # the first flag stays: a value that carries was rounded at its exponent
         near_tie[off] |= tie
         carry = off[m[off] >= 1e15]
         m[carry] = 1e14
         row[carry] += 1
+        # never seen: log10 two off; the caller writes such a value
         near_tie[off] |= m[off] < 1e14
     rest |= near_tie & live
     # a zero is written as the positional 0.0
@@ -167,20 +173,19 @@ def _format_block(x, out, rest) -> None:
     # floor is exact because m < 2^53
     high = np.floor(m / 1e8)
     low = m - high * 1e8
-    parts = np.empty((4, len(x)))
-    parts[0] = np.floor(high / 1e4)
-    parts[1] = high - parts[0] * 1e4
-    parts[2] = np.floor(low / 1e4)
-    parts[3] = low - parts[2] * 1e4
-    c0, c1, c2, c3 = parts.astype(np.intp)
-    sig = np.where(c3 > 0, 11 + t.last[c3], np.where(
-        c2 > 0, 7 + t.last[c2], np.where(c1 > 0, 3 + t.last[c1], t.last[c0] - 1)))
+    chunk = np.empty((len(x), 4))
+    chunk[:, 0] = np.floor(high / 1e4)
+    chunk[:, 1] = high - chunk[:, 0] * 1e4
+    chunk[:, 2] = np.floor(low / 1e4)
+    chunk[:, 3] = low - chunk[:, 2] * 1e4
+    chunk = chunk.astype(np.intp)
+    sig = np.maximum(np.maximum(t.upto[0][chunk[:, 0]], t.upto[1][chunk[:, 1]]),
+                     np.maximum(t.upto[2][chunk[:, 2]], t.upto[3][chunk[:, 3]]))
 
     # the digits from the body's first column on, then three zeros for a
     # 16th integer digit and a first fractional one
     digits = np.empty((len(x), WIDTH // 4), np.uint32)
-    for j, c in enumerate((c0, c1, c2, c3), start=_BODY // 4):
-        digits[:, j] = np.take(t.chunks, c)
+    digits[:, _BODY // 4:_BODY // 4 + 4] = np.take(t.chunks, chunk)
     digits[:, _BODY // 4 + 4] = t.zeros
     own = digits.view(np.uint64).ravel()
     # each byte moved one column left: the digit after the one in its column
@@ -206,7 +211,7 @@ def float_matrix(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(values, dtype=float)
     out = np.empty((len(values), WIDTH), np.uint8)
     rest = np.empty(len(values), bool)
-    for start in range(0, len(values), _BLOCK):
-        stop = start + _BLOCK
+    for start in range(0, len(values), BLOCK):
+        stop = start + BLOCK
         _format_block(values[start:stop], out[start:stop], rest[start:stop])
     return out, rest

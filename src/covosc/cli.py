@@ -12,13 +12,21 @@ a --config file over the default, and the echo all follow from these two
 tables. A --config key the command does not read is refused.
 
 Results are rendered column-wise with the same 15-significant-digit text
-in both formats: each float column is checked for NaN/Inf once, a grid axis
-is formatted once per axis point rather than once per cell, and JSON result
-objects are filled from the CSV text cells through one per-table template.
-A float cell is the repr of its value rounded to 15 significant digits,
-written by one %.15g pass; only integral, exponent-15 and e-3xx texts are
-read back, and the config echo's floats are read from the same texts.
-The argument parser is built once per process and reused by every main call.
+in both formats: each float column is checked for NaN/Inf once, and a grid
+axis is formatted once per axis point rather than once per cell. A float
+cell is the repr of its value rounded to 15 significant digits. One size
+rule, _MATRIX_ROWS, picks how a table is written:
+
+- a small table (every command but grid) goes cell by cell: one %.15g pass
+  per column, reading back only integral, exponent-15 and e-3xx texts, with
+  JSON result objects filled from the CSV cells through one template;
+- a large one (grid) goes through numpy: each column becomes a uint8 matrix
+  holding the same text per row (_textmatrix.float_matrix, exact to the last
+  digit), and the CSV or JSON body is those matrices set side by side with
+  the separator bytes, in row blocks, with the pad bytes dropped.
+
+The config echo's floats are read from the per-cell texts. The argument
+parser is built once per process and reused by every main call.
 
 Exit status: 0 on success, 1 on domain/configuration errors, 2 when a
 numeric integrity check fails (non-finite output, broken spectrum, ...).
@@ -321,11 +329,11 @@ _COMMANDS = {
 _LARGEST_WRITTEN = 1.797693134862315e308
 
 
-# tables with at least this many rows are written from byte matrices, whose
-# fixed cost of about 90 us per column passes the per-cell texts' near 250 rows
+# tables with at least this many rows are written from byte matrices: a float
+# column costs about 70 us plus 0.07 us per value there, against 0.8 us per
+# value as per-cell text, and with the assembly's own fixed cost whole CSV and
+# JSON tables break even near 250 rows
 _MATRIX_ROWS = 250
-# rows of such a table assembled at a time; keeps the temporaries small
-_BLOCK_ROWS = 4096
 
 
 # a grid's far corners underflow to exact zeros, most of the cells of some grids:
@@ -442,43 +450,50 @@ def _rows(table: dict) -> int:
     return min(len(c.index) if isinstance(c, _Indexed) else len(c) for c in table.values())
 
 
-def _row_blocks(table: dict, literals: list[str]):
-    """The table's rows as bytes, in blocks: literals[0], cell, literals[1], ..., cell, literals[-1].
+def _table_text(head: str, table: dict, literals: list[str], tail: str, cut: int = 0) -> str:
+    """head, each row of table, then tail; a row is literals[0], cell, literals[1], ..., cell,
+    literals[-1], and the last one loses its final cut bytes.
 
     An _Indexed column is formatted once and gathered by its index, any other
     column block by block; every column is refused up front, in table order,
     if it holds a value _text_cells refuses. Within a block the cells are rows
-    of byte matrices set side by side with the literal bytes, and one mask
-    drops their 0 bytes.
+    of byte matrices set side by side with the literal bytes, and their 0
+    bytes are dropped in one pass.
     """
-    columns = []
+    fixed = [np.frombuffer(text.encode(), np.uint8) for text in literals]
+    columns, width = [], sum(map(len, fixed))
     for name, column in table.items():
         if isinstance(column, _Indexed):
-            columns.append((name, _narrow(_text_matrix(name, column.values)), column.index))
+            matrix = _narrow(_text_matrix(name, column.values))
+            columns.append((name, matrix, column.index))
+            width += matrix.shape[1]
         else:
             values = np.asarray(column)
             if values.dtype.kind not in "iu":
                 values = _floats(name, values)
             columns.append((name, values, None))
-    fixed = [np.frombuffer(text.encode(), np.uint8) for text in literals]
+            # no cell text is longer
+            width += _textmatrix.WIDTH
+    head, tail = head.encode(), tail.encode()
     nrows = _rows(table)
-    for start in range(0, nrows, _BLOCK_ROWS):
-        rows = slice(start, min(start + _BLOCK_ROWS, nrows))
+    # room for the longest rows; pages that are never written take no memory
+    text = np.empty(len(head) + nrows * width + len(tail), np.uint8)
+    text[:len(head)] = np.frombuffer(head, np.uint8)
+    end = len(head)
+    for start in range(0, nrows, _textmatrix.BLOCK):
+        rows = slice(start, min(start + _textmatrix.BLOCK, nrows))
         n = rows.stop - rows.start
         parts = [np.broadcast_to(fixed[0], (n, len(fixed[0])))]
-        for (name, values, index), text in zip(columns, fixed[1:]):
+        for (name, values, index), literal in zip(columns, fixed[1:]):
             parts.append(_text_matrix(name, values[rows]) if index is None
                          else np.take(values, index[rows], axis=0))
-            parts.append(np.broadcast_to(text, (n, len(text))))
-        block = np.concatenate(parts, axis=1).ravel()
-        yield np.compress(block != 0, block).tobytes()
-
-
-def _joined(parts: list[bytes]) -> str:
-    text = b"".join(parts)
-    # the blocks are copied into text: free them before the str is made
-    parts.clear()
-    return text.decode()
+            parts.append(np.broadcast_to(literal, (n, len(literal))))
+        block = np.concatenate(parts, axis=1).tobytes().translate(None, b"\0")
+        text[end:end + len(block)] = np.frombuffer(block, np.uint8)
+        end += len(block)
+    end -= cut
+    text[end:end + len(tail)] = np.frombuffer(tail, np.uint8)
+    return str(text[:end + len(tail)], "utf-8")
 
 
 def _render_csv(cfg: RunConfig, table: dict) -> str:
@@ -488,7 +503,7 @@ def _render_csv(cfg: RunConfig, table: dict) -> str:
     lines.append(",".join(table))
     if _rows(table) >= _MATRIX_ROWS:
         literals = [""] + [","] * (len(table) - 1) + ["\n"]
-        return _joined(["\n".join(lines + [""]).encode(), *_row_blocks(table, literals)])
+        return _table_text("\n".join(lines + [""]), table, literals, "")
     lines.extend(map(",".join, zip(*_cells(table))))
     return "\n".join(lines + [""])
 
@@ -502,11 +517,8 @@ def _render_json(cfg: RunConfig, table: dict) -> str:
     if _rows(table) >= _MATRIX_ROWS:
         literals = ([f"    {{\n      {keys[0]}: "] + [f",\n      {key}: " for key in keys[1:]]
                     + ["\n    },\n"])
-        parts = [f"{head}[\n".encode(), *_row_blocks(table, literals)]
         # no separator after the last object
-        parts[-1] = parts[-1][:-2]
-        parts.append(b"\n  ]\n}\n")
-        return _joined(parts)
+        return _table_text(f"{head}[\n", table, literals, "\n  ]\n}\n", cut=2)
     keys = [key.replace("%", "%%") for key in keys]
     template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
     rows = ",\n".join(template % row for row in zip(*_cells(table)))

@@ -941,7 +941,7 @@ class TestColumnRendering:
         assert [c for c in calls if c[0] in ("z", "t")] == [("z", 201), ("t", 201)]
         # psi is formatted block by block, each of its values once
         psi = [n for name, n in calls if name == "psi"]
-        assert sum(psi) == 201 * 201 and max(psi) <= cli._BLOCK_ROWS
+        assert sum(psi) == 201 * 201 and max(psi) <= cli._textmatrix.BLOCK
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_size_rule_selects_the_path(self, fmt, monkeypatch):
