@@ -43,8 +43,9 @@ __all__ = [
 ]
 
 MAX_POINTS_PER_AXIS = 10_000
-# render_grid and its CLI text take about 250 B of peak memory per cell, so
-# this caps a dense dump near 250 MB; it is checked before anything is evaluated
+# a grid request peaks near 100 B per cell for CSV and 200 B for JSON (render_grid
+# about 70 B, then the field, the text buffer and the returned str), so this caps
+# a dense dump near 100 and 200 MB; it is checked before anything is evaluated
 MAX_GRID_CELLS = 1001**2
 # pde_residual holds about 25 B per cell at its peak (psi, the applied operator,
 # one product buffer and the mask; the stencil lines are 2N - 1 points each),
