@@ -460,8 +460,8 @@ def _table_text(head: str, table: dict, literals: list[str], tail: str, cut: int
     of byte matrices set side by side with the literal bytes, and their 0
     bytes are dropped in one pass.
     """
-    fixed = [np.frombuffer(text.encode(), np.uint8) for text in literals]
-    columns, width = [], sum(map(len, fixed))
+    literals = [np.frombuffer(text.encode(), np.uint8) for text in literals]
+    columns, width = [], sum(map(len, literals))
     for name, column in table.items():
         if isinstance(column, _Indexed):
             matrix = _narrow(_text_matrix(name, column.values))
@@ -483,8 +483,8 @@ def _table_text(head: str, table: dict, literals: list[str], tail: str, cut: int
     for start in range(0, nrows, _textmatrix.BLOCK):
         rows = slice(start, min(start + _textmatrix.BLOCK, nrows))
         n = rows.stop - rows.start
-        parts = [np.broadcast_to(fixed[0], (n, len(fixed[0])))]
-        for (name, values, index), literal in zip(columns, fixed[1:]):
+        parts = [np.broadcast_to(literals[0], (n, len(literals[0])))]
+        for (name, values, index), literal in zip(columns, literals[1:]):
             parts.append(_text_matrix(name, values[rows]) if index is None
                          else np.take(values, index[rows], axis=0))
             parts.append(np.broadcast_to(literal, (n, len(literal))))
