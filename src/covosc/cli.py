@@ -17,13 +17,14 @@ axis is formatted once per axis point rather than once per cell. A float
 cell is the repr of its value rounded to 15 significant digits. One size
 rule, _MATRIX_ROWS, picks how a table is written:
 
-- a small table (every command but grid) goes cell by cell: one %.15g pass
-  per column, reading back only integral, exponent-15 and e-3xx texts, with
-  JSON result objects filled from the CSV cells through one template;
-- a large one (grid) goes through numpy: each column becomes a uint8 matrix
-  holding the same text per row (_textmatrix.float_matrix, exact to the last
-  digit), and the CSV or JSON body is those matrices set side by side with
-  the separator bytes, in row blocks, with the pad bytes dropped.
+- a table of fewer rows goes cell by cell: one %.15g pass per column,
+  reading back only integral, exponent-15 and e-3xx texts, with JSON result
+  objects filled from the CSV cells through one template;
+- a larger one (every grid, a marginal of 250 points or more) goes through
+  numpy: each column becomes a uint8 matrix holding the same text per row
+  (_textmatrix.float_matrix, exact to the last digit), and the CSV or JSON
+  body is those matrices set side by side with the separator bytes, in row
+  blocks, with the pad bytes dropped.
 
 The config echo's floats are read from the per-cell texts. The argument
 parser is built once per process and reused by every main call.
