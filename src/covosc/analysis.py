@@ -43,15 +43,20 @@ __all__ = [
 ]
 
 MAX_POINTS_PER_AXIS = 10_000
-# a grid request peaks near 100 B per cell for CSV and 200 B for JSON (render_grid
-# about 70 B, then the field, the text buffer and the returned str), so this caps
-# a dense dump near 100 and 200 MB; it is checked before anything is evaluated
+# a grid request peaks near 85 B per cell for CSV and 180 B for JSON, nearly all
+# of it the text buffers and the returned str (render_grid holds its 8 B field
+# and one row block), so this caps a dense dump near 120 and 215 MB of RSS; it
+# is checked before anything is evaluated
 MAX_GRID_CELLS = 1001**2
-# pde_residual holds about 25 B per cell at its peak (psi, the applied operator,
-# one product buffer and the mask; the stencil lines are 2N - 1 points each),
-# so this caps a residual check near 160 MB of arrays; the largest default
-# verify grid, at n_z = 64, has 2281^2 cells
+# pde_residual holds 16 B per cell at its peak: two buffers for the masked
+# products of the Rayleigh sums, written only where the mask holds (the stencil
+# lines are 2N - 1 points, a row block's temporaries well under 1 MB), so this
+# caps a residual check near 100 MB of arrays; the largest default verify grid,
+# at n_z = 64, has 2281^2 cells
 MAX_RESIDUAL_CELLS = 2501**2
+# pde_residual and render_grid work through their grids in row blocks of about
+# this many cells, so each block's temporaries stay in cache
+_BLOCK_CELLS = 8192
 DEFAULT_ORDER = 64
 DEFAULT_FD_STEP = 0.01
 
@@ -238,6 +243,12 @@ def _check_cells(grid: GridSpec, budget: int) -> None:
             f"grid of {grid.npoints}^2 = {cells} cells exceeds the budget of {budget} cells")
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices of an n x n grid, each about _BLOCK_CELLS cells."""
+    rows = max(1, _BLOCK_CELLS // n)
+    return [slice(i, i + rows) for i in range(0, n, rows)]
+
+
 def pde_residual(state: OscillatorState, grid: GridSpec,
                  fd_step: float = DEFAULT_FD_STEP) -> PdeResidualReport:
     """Residual of the longitudinal oscillator equation on a squeeze-adapted grid.
@@ -261,6 +272,12 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     with H_c = h_{n_z}((2 min + step s + c)/sqrt(2)) for s = 0 .. 2N - 2 and
     G_c = h_0((step d + c)/sqrt(2)) for d = -(N - 1) .. N - 1: six Hermite
     evaluations of 2N - 1 points, read as N x N Hankel and Toeplitz views.
+
+    The views are read in row blocks of about _BLOCK_CELLS cells, and no
+    N x N temporary is held: one pass finds max|psi|, a second forms the
+    stencil block by block and keeps only the masked products. Those are
+    summed once, in grid order, so the result is the same to the last bit as
+    that of the whole grid at once.
 
     Returns the model eigenvalue n_z, its Rayleigh-quotient estimate from the
     grid data, and the masked maximum of |D psi - n_z psi| / max|psi| using
@@ -288,31 +305,43 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     h0, h_plus, h_minus = (hermite_function(state.n_z, (sums + c) / SQRT2) for c in shifts)
     g0, g_plus, g_minus = (hermite_function(0, (diffs + c) / SQRT2) for c in shifts)
     h_u, h_v = math.exp(state.eta) * fd_step, math.exp(-state.eta) * fd_step
-    # applied = u v psi - cross with u v = a b, built in place as
-    # (H_0 (G_+ + G_-) - (H_+ + H_-) G_0) / (4 h_u h_v) + a b psi
-    center = hankel(h0) * toeplitz(g0)
-    applied = hankel(h0) * toeplitz(g_plus + g_minus)
-    applied -= hankel(h_plus + h_minus) * toeplitz(g0)
-    applied /= 4.0 * h_u * h_v
-    uv_psi = center * pts[:, None]
-    uv_psi *= pts[None, :]
-    applied += uv_psi
-    del uv_psi
-    magnitude = np.abs(center)
-    peak = float(magnitude.max())
+    h_center, h_sum = hankel(h0), hankel(h_plus + h_minus)
+    g_center, g_sum = toeplitz(g0), toeplitz(g_plus + g_minus)
+    blocks = _row_blocks(n)
+    peak = max(float(np.abs(h_center[b] * g_center[b]).max()) for b in blocks)
     if peak == 0.0:
         raise ConfigError("grid does not touch the state's support")
-    mask = magnitude > MASK_FLOOR * peak
-    del magnitude
-    center, applied = center[mask], applied[mask]
-    lam = float(state.n_z)
-    residual = np.abs(applied - lam * center)
-    rayleigh = float(np.sum(center * applied) / np.sum(center**2))
+    floor, lam = MASK_FLOOR * peak, float(state.n_z)
+    # the masked products are summed once, in grid order, as one contiguous
+    # sequence: per-block partial sums would round differently. One allocation,
+    # not two: freeing two such buffers crosses glibc's heap trim threshold, so
+    # every call would fault in fresh pages (about 1,100 per call at 566^2)
+    products, squares = np.empty((2, n * n))
+    count, worst = 0, 0.0
+    for b in blocks:
+        # applied = u v psi - cross with u v = a b, built in place as
+        # (H_0 (G_+ + G_-) - (H_+ + H_-) G_0) / (4 h_u h_v) + a b psi
+        center = h_center[b] * g_center[b]
+        applied = h_center[b] * g_sum[b]
+        applied -= h_sum[b] * g_center[b]
+        applied /= 4.0 * h_u * h_v
+        uv_psi = center * pts[b, None]
+        uv_psi *= pts[None, :]
+        applied += uv_psi
+        mask = np.abs(center) > floor
+        center, applied = center[mask], applied[mask]
+        if not center.size:
+            continue
+        worst = max(worst, float(np.abs(applied - lam * center).max()))
+        end = count + center.size
+        np.multiply(center, applied, out=products[count:end])
+        np.multiply(center, center, out=squares[count:end])
+        count = end
     return PdeResidualReport(
         eigenvalue=lam,
-        rayleigh_quotient=rayleigh,
-        max_rel_residual=float(residual.max() / peak),
-        masked_points=int(center.size),
+        rayleigh_quotient=float(np.sum(products[:count]) / np.sum(squares[:count])),
+        max_rel_residual=worst / peak,
+        masked_points=count,
     )
 
 
@@ -324,15 +353,19 @@ def render_grid(state: OscillatorState, grid: GridSpec,
     momentum-energy wave function on (q_z, q_0). Both are one function for
     every n_z, phi(q_z, q_0) = (-i)^{n_z} psi(q_z, q_0), so both evaluate
     psi_boosted, and the momentum values are the real amplitude i^{n_z} phi.
-    values[i, j] corresponds to (first_axis[i], second_axis[j]). Grids of more
-    than MAX_GRID_CELLS cells are refused with a ConfigError.
+    values[i, j] corresponds to (first_axis[i], second_axis[j]). The field is
+    filled in row blocks of about _BLOCK_CELLS cells, so no N x N temporary is
+    held besides the field itself. Grids of more than MAX_GRID_CELLS cells are
+    refused with a ConfigError.
     """
     _check_cells(grid, MAX_GRID_CELLS)
     axes = {"spacetime": ("z", "t"), "momentum": ("q_z", "q_0")}.get(representation)
     if axes is None:
         raise DomainError(f"unknown representation {representation!r}")
     pts = grid.points()
-    values = psi_boosted(state, pts[:, None], pts[None, :])
+    values = np.empty((grid.npoints, grid.npoints))
+    for b in _row_blocks(grid.npoints):
+        values[b] = psi_boosted(state, pts[b, None], pts[None, :])
     return FieldGrid(specs=(grid, grid), axes=axes, values=values)
 
 

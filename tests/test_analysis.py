@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 
 from covosc import analysis
@@ -21,6 +23,8 @@ from covosc import (
     psi_boosted,
     render_grid,
 )
+from covosc.hermite import hermite_function
+from covosc.kinematics import SQRT2
 from covosc.oscillator import psi_boosted_lightcone
 
 LN2 = math.log(2.0)
@@ -55,6 +59,70 @@ def residual_by_samples(state, grid, fd_step):
     residual = np.abs(applied - state.n_z * center)[mask]
     rayleigh = float(np.sum(center[mask] * applied[mask]) / np.sum(center[mask] ** 2))
     return rayleigh, float(residual.max() / peak), int(mask.sum())
+
+
+def residual_whole_grid(state, grid, fd_step):
+    """Oracle: pde_residual as it was before it worked in row blocks.
+
+    The same Hankel and Toeplitz views, read as whole N x N arrays with one
+    mask and one contiguous sum each: the blocked version must give the same
+    report bit for bit.
+    """
+    n = grid.npoints
+    pts = grid.points()
+    sums = 2.0 * grid.min + grid.step * np.arange(2 * n - 1)
+    diffs = grid.step * np.arange(1 - n, n)
+
+    def hankel(x):
+        return sliding_window_view(x, n)  # [i, j] -> x[i + j]
+
+    def toeplitz(x):
+        return sliding_window_view(x, n)[:, ::-1]  # [i, j] -> x[i - j + n - 1]
+
+    shifts = (0.0, 2.0 * fd_step, -2.0 * fd_step)
+    h0, h_plus, h_minus = (hermite_function(state.n_z, (sums + c) / SQRT2) for c in shifts)
+    g0, g_plus, g_minus = (hermite_function(0, (diffs + c) / SQRT2) for c in shifts)
+    h_u, h_v = math.exp(state.eta) * fd_step, math.exp(-state.eta) * fd_step
+    center = hankel(h0) * toeplitz(g0)
+    applied = hankel(h0) * toeplitz(g_plus + g_minus)
+    applied -= hankel(h_plus + h_minus) * toeplitz(g0)
+    applied /= 4.0 * h_u * h_v
+    uv_psi = center * pts[:, None]
+    uv_psi *= pts[None, :]
+    applied += uv_psi
+    magnitude = np.abs(center)
+    peak = float(magnitude.max())
+    mask = magnitude > analysis.MASK_FLOOR * peak
+    center, applied = center[mask], applied[mask]
+    lam = float(state.n_z)
+    residual = np.abs(applied - lam * center)
+    rayleigh = float(np.sum(center * applied) / np.sum(center**2))
+    return analysis.PdeResidualReport(
+        eigenvalue=lam,
+        rayleigh_quotient=rayleigh,
+        max_rel_residual=float(residual.max() / peak),
+        masked_points=int(center.size),
+    )
+
+
+def verify_grid(n_z):
+    """The default grid of the verify command."""
+    half = 4.0 * math.sqrt((n_z + 1.0) / 2.0)
+    return GridSpec(-half, half, 0.02)
+
+
+def blocked_table():
+    """Default verify grids over n_z and eta, fd_step cycling, then the block edge cases."""
+    steps = (1e-4, 0.01, 0.1)
+    for k, (n_z, eta) in enumerate(itertools.product((0, 3, 16), (0.0, 1.3, -1.3, 50.0))):
+        grid = verify_grid(n_z)
+        yield pytest.param(n_z, eta, grid, steps[k % len(steps)],
+                           id=f"n_z={n_z} eta={eta} N={grid.npoints} fd_step={steps[k % 3]}")
+    # fewer points than one block has rows
+    yield pytest.param(2, 0.7, GridSpec(-3.0, 3.0, 0.1), 0.01, id="one block")
+    # rows from b = 5.4 on hold no cell above the mask floor at n_z = 0
+    yield pytest.param(0, 0.0, GridSpec(-3.0, 9.0, 0.02), 0.01, id="empty trailing blocks")
+    yield pytest.param(4, -0.4, GridSpec(-6.0, 6.0, 0.02), 0.1, id="fd_step 0.1")
 
 
 ORACLE_N_Z = (0, 1, 2, 3, 4, 16)
@@ -184,6 +252,40 @@ class TestPdeResidual:
         assert report.rayleigh_quotient == pytest.approx(rayleigh, rel=0.0, abs=tolerance)
         assert report.max_rel_residual == pytest.approx(max_residual, rel=0.0, abs=tolerance)
         assert report.masked_points == masked
+
+
+    @pytest.mark.parametrize("n_z, eta, grid, fd_step", blocked_table())
+    def test_blocks_equal_whole_grid(self, n_z, eta, grid, fd_step):
+        state = OscillatorState(n_z=n_z, eta=eta)
+        assert pde_residual(state, grid, fd_step) == residual_whole_grid(state, grid, fd_step)
+
+    def test_block_table_covers_the_edges(self):
+        def rows(grid):
+            n = grid.npoints
+            return [len(range(n)[b]) for b in analysis._row_blocks(n)]
+
+        assert rows(GridSpec(-3.0, 3.0, 0.1)) == [61]
+        for n_z in (3, 16):
+            sizes = rows(verify_grid(n_z))
+            assert len(sizes) > 1 and sizes[-1] < sizes[0]
+        # at n_z = 0, |psi| / peak = exp(-(a^2 + b^2)/2) < MASK_FLOOR for every a > 5.26
+        window = GridSpec(-3.0, 9.0, 0.02)
+        starts = [window.points()[b][0] for b in analysis._row_blocks(window.npoints)]
+        assert sum(a > 5.3 for a in starts) >= 2
+
+    def test_peak_memory_per_cell(self):
+        state, grid = OscillatorState(n_z=3, eta=0.7), verify_grid(3)
+        pde_residual(state, grid)
+        tracemalloc.start()
+        try:
+            pde_residual(state, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two buffers of 8 B per cell hold the masked products for the
+        # Rayleigh sums; no N x N temporary may join them
+        assert grid.npoints == 566
+        assert peak < 20 * grid.npoints**2
 
 
 class TestNorm:
@@ -414,6 +516,34 @@ class TestRenderGrid:
     def test_unknown_representation(self):
         with pytest.raises(DomainError):
             render_grid(OscillatorState(), GridSpec(-2.0, 2.0, 0.5), "fourier")
+
+    @pytest.mark.parametrize("n_z, eta, spec, representation", [
+        (1, -1.9, GridSpec(-5.0, 5.0, 0.05), "spacetime"),
+        (1, 0.0, GridSpec(-40.0, 40.0, 0.25), "spacetime"),
+        (3, 1.9, GridSpec(-20.0, 20.0, 0.25), "spacetime"),
+        (2, 1.3, GridSpec(-6.0, 6.0, 0.02), "momentum"),
+        (0, 0.4, GridSpec(-3.0, 3.0, 0.1), "spacetime"),
+    ])
+    def test_blocks_equal_full_mesh(self, n_z, eta, spec, representation):
+        # far corners hold -0.0 and subnormals, so compare the bits
+        state = OscillatorState(n_z=n_z, eta=eta)
+        pts = spec.points()
+        want = psi_boosted(state, pts[:, None], pts[None, :])
+        got = render_grid(state, spec, representation).values
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_peak_memory_per_cell(self):
+        state, spec = OscillatorState(n_z=2, eta=0.7), GridSpec.symmetric(6.0, 601)
+        render_grid(state, spec)
+        tracemalloc.start()
+        try:
+            render_grid(state, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the returned field is 8 B per cell; psi is evaluated one row block at a time
+        assert peak < 12 * spec.npoints**2
+
 
     def test_cell_budget_checked_before_evaluation(self, monkeypatch):
         def refuse(*args, **kwargs):
