@@ -48,7 +48,7 @@ MAX_POINTS_PER_AXIS = 10_000
 # and one row block), so this caps a dense dump near 120 and 215 MB of RSS; it
 # is checked before anything is evaluated
 MAX_GRID_CELLS = 1001**2
-# pde_residual holds 16 B per cell at its peak: two buffers for the masked
+# pde_residual holds 16 B per cell at its peak: one buffer for the masked
 # products of the Rayleigh sums, written only where the mask holds (the stencil
 # lines are 2N - 1 points, a row block's temporaries well under 1 MB), so this
 # caps a residual check near 100 MB of arrays; the largest default verify grid,

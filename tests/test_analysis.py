@@ -115,9 +115,9 @@ def blocked_table():
     """Default verify grids over n_z and eta, fd_step cycling, then the block edge cases."""
     steps = (1e-4, 0.01, 0.1)
     for k, (n_z, eta) in enumerate(itertools.product((0, 3, 16), (0.0, 1.3, -1.3, 50.0))):
-        grid = verify_grid(n_z)
-        yield pytest.param(n_z, eta, grid, steps[k % len(steps)],
-                           id=f"n_z={n_z} eta={eta} N={grid.npoints} fd_step={steps[k % 3]}")
+        grid, fd_step = verify_grid(n_z), steps[k % len(steps)]
+        yield pytest.param(n_z, eta, grid, fd_step,
+                           id=f"n_z={n_z} eta={eta} N={grid.npoints} fd_step={fd_step}")
     # fewer points than one block has rows
     yield pytest.param(2, 0.7, GridSpec(-3.0, 3.0, 0.1), 0.01, id="one block")
     # rows from b = 5.4 on hold no cell above the mask floor at n_z = 0
@@ -253,7 +253,6 @@ class TestPdeResidual:
         assert report.max_rel_residual == pytest.approx(max_residual, rel=0.0, abs=tolerance)
         assert report.masked_points == masked
 
-
     @pytest.mark.parametrize("n_z, eta, grid, fd_step", blocked_table())
     def test_blocks_equal_whole_grid(self, n_z, eta, grid, fd_step):
         state = OscillatorState(n_z=n_z, eta=eta)
@@ -282,8 +281,8 @@ class TestPdeResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # two buffers of 8 B per cell hold the masked products for the
-        # Rayleigh sums; no N x N temporary may join them
+        # one buffer of 16 B per cell holds the masked products for the
+        # Rayleigh sums; no N x N temporary may join it
         assert grid.npoints == 566
         assert peak < 20 * grid.npoints**2
 
@@ -543,7 +542,6 @@ class TestRenderGrid:
             tracemalloc.stop()
         # the returned field is 8 B per cell; psi is evaluated one row block at a time
         assert peak < 12 * spec.npoints**2
-
 
     def test_cell_budget_checked_before_evaluation(self, monkeypatch):
         def refuse(*args, **kwargs):
