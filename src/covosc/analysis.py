@@ -185,16 +185,37 @@ def _lightcone_rule(s_u: float, s_v: float, order: int):
     return s_u * x[:, None], w[:, None], s_v * x[None, :], w[None, :]
 
 
+def exact_order(degree: int) -> int:
+    """Fewest Gauss-Hermite nodes per axis that integrate a polynomial of this degree exactly.
+
+    An N-node rule is exact up to degree 2N - 1. Against the Gaussian a rule
+    is scaled to, the product of states n_a and n_b is a polynomial of degree
+    n_a + n_b per axis, so overlap, norm and marginal need n_z + 1 nodes and
+    the ground state's second moments 2.
+    """
+    return degree // 2 + 1
+
+
+def _check_order(order: int, degree: int, what: str) -> None:
+    """Refuse a rule too small to integrate a polynomial of this degree exactly."""
+    exact = exact_order(degree)
+    if order < exact:
+        raise ConfigError(
+            f"quadrature order {order} is below {exact}, the exact order for {what}")
+
+
 def overlap(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_ORDER) -> float:
     """Inner product of the (z, t) sectors of two states, by 2-D quadrature.
 
     The Gauss-Hermite rule is applied in light-cone coordinates with per-axis
     scales built from both states' squeeze factors, so the Gaussian decay of
-    the product matches the weight function exactly and the rule is exact up
-    to its polynomial degree.
+    the product matches the weight function exactly and the rule is exact
+    from exact_order(a.n_z + b.n_z) nodes per axis; more nodes change only
+    the rounding. A smaller order is refused with a ConfigError.
     """
     if (a.n_x, a.n_y) != (b.n_x, b.n_y):
         raise DomainError("overlap requires equal transverse quantum numbers")
+    _check_order(order, a.n_z + b.n_z, f"n_z = {a.n_z} and {b.n_z}")
     s_u = math.sqrt(2.0 / (math.exp(-2.0 * a.eta) + math.exp(-2.0 * b.eta)))
     s_v = math.sqrt(2.0 / (math.exp(2.0 * a.eta) + math.exp(2.0 * b.eta)))
     u, w_u, v, w_v = _lightcone_rule(s_u, s_v, order)
@@ -214,10 +235,13 @@ def marginal(state: OscillatorState, axis: str, grid: GridSpec,
     Integrates |psi|^2 over the complementary coordinate with a shifted,
     scaled Gauss-Hermite rule; the shift follows the ridge of the squeezed
     Gaussian (t_center = z tanh(2 eta) and its mirror), which makes the rule
-    exact for these Hermite-Gaussian densities. Valid axes: z, t, u, v.
+    exact for these Hermite-Gaussian densities from exact_order(2 n_z) =
+    n_z + 1 nodes. A smaller order is refused with a ConfigError. Valid
+    axes: z, t, u, v.
     """
     if axis not in MARGINAL_AXES:
         raise DomainError(f"axis must be one of {MARGINAL_AXES}, got {axis!r}")
+    _check_order(order, 2 * state.n_z, f"|psi|^2 at n_z = {state.n_z}")
     x, w = _rule_arrays(order)
     kept = grid.points()[:, None]
     eta = state.eta
@@ -249,6 +273,24 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
+def _peak(h: np.ndarray, g: np.ndarray) -> float:
+    """max |h[i + j] g[i - j + n - 1]| over the n x n grid, in O(n).
+
+    Where |i - j| = k, the sums i + j run over k, k + 2, ..., 2n - 2 - k, so
+    the largest |h| that diagonal reaches is a running maximum from the two
+    ends of h inwards, one per parity of k. Since |fl(x y)| = fl(|x| |y|) and
+    rounded multiplication is monotone, this equals the maximum of the
+    rounded products over every cell to the last bit.
+    """
+    n = len(g) // 2 + 1
+    a = np.abs(h)
+    reach = np.maximum(a[:n], a[::-1][:n])
+    for parity in (0, 1):
+        reach[parity::2] = np.maximum.accumulate(reach[parity::2][::-1])[::-1]
+    # g[m] sits on the diagonal i - j = m - (n - 1)
+    return float((np.concatenate((reach[:0:-1], reach)) * np.abs(g)).max())
+
+
 def pde_residual(state: OscillatorState, grid: GridSpec,
                  fd_step: float = DEFAULT_FD_STEP) -> PdeResidualReport:
     """Residual of the longitudinal oscillator equation on a squeeze-adapted grid.
@@ -273,9 +315,9 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     G_c = h_0((step d + c)/sqrt(2)) for d = -(N - 1) .. N - 1: six Hermite
     evaluations of 2N - 1 points, read as N x N Hankel and Toeplitz views.
 
-    The views are read in row blocks of about _BLOCK_CELLS cells, and no
-    N x N temporary is held: one pass finds max|psi|, a second forms the
-    stencil block by block and keeps only the masked products. Those are
+    max|psi| comes from H_0 and G_0 alone in O(N) (_peak). The stencil is
+    then formed in row blocks of about _BLOCK_CELLS cells, so no N x N
+    temporary is held, and only the masked products are kept. Those are
     summed once, in grid order, so the result is the same to the last bit as
     that of the whole grid at once.
 
@@ -307,8 +349,7 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     h_u, h_v = math.exp(state.eta) * fd_step, math.exp(-state.eta) * fd_step
     h_center, h_sum = hankel(h0), hankel(h_plus + h_minus)
     g_center, g_sum = toeplitz(g0), toeplitz(g_plus + g_minus)
-    blocks = _row_blocks(n)
-    peak = max(float(np.abs(h_center[b] * g_center[b]).max()) for b in blocks)
+    peak = _peak(h0, g0)
     if peak == 0.0:
         raise ConfigError("grid does not touch the state's support")
     floor, lam = MASK_FLOOR * peak, float(state.n_z)
@@ -318,7 +359,7 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     # every call would fault in fresh pages (about 1,100 per call at 566^2)
     products, squares = np.empty((2, n * n))
     count, worst = 0, 0.0
-    for b in blocks:
+    for b in _row_blocks(n):
         # applied = u v psi - cross with u v = a b, built in place as
         # (H_0 (G_+ + G_-) - (H_+ + H_-) G_0) / (4 h_u h_v) + a b psi
         center = h_center[b] * g_center[b]
@@ -405,16 +446,6 @@ def _check_scan_row(row: PartonScanRow) -> None:
                 f"{name} = {got} at eta = {e} deviates from the closed form {expected}")
 
 
-def _positive_moments(eta: float, order: int) -> tuple[float, float, float]:
-    # a one-node rule puts its node at the origin, where every second moment is 0
-    moments = _spacetime_moments(eta, order)
-    if not all(m > 0.0 for m in moments):
-        raise NumericIntegrityError(
-            f"quadrature order {order} gives second moments {moments} at eta = {eta}; "
-            "the widths need positive ones")
-    return moments
-
-
 def parton_scan(etas, order: int = DEFAULT_ORDER) -> list[PartonScanRow]:
     """Quadrature widths of the boosted ground state, one row per rapidity.
 
@@ -427,15 +458,18 @@ def parton_scan(etas, order: int = DEFAULT_ORDER) -> list[PartonScanRow]:
     sigma_v = e^-eta/sqrt(2), sigma_z^2 = sigma_qz^2 = cosh(2 eta)/2). The
     spatial and momentum widths grow together: their product cosh(2 eta)/2
     rises without bound, which is how one covariant state serves as both the
-    rest-frame bound state and the free-parton limit.
+    rest-frame bound state and the free-parton limit. The second moments are
+    polynomials of degree 2 against the rule's Gaussian, exact from
+    exact_order(2) = 2 nodes; a smaller order is refused with a ConfigError.
     """
     etas = [rapidity_value(e) for e in etas]
     if not etas:
         raise DomainError("etas must be nonempty")
-    sigma_u0 = math.sqrt(_positive_moments(0.0, order)[0])
+    _check_order(order, 2, "the ground state's second moments")
+    sigma_u0 = math.sqrt(_spacetime_moments(0.0, order)[0])
     rows = []
     for e in etas:
-        m_u2, m_v2, m_z2 = _positive_moments(e, order)
+        m_u2, m_v2, m_z2 = _spacetime_moments(e, order)
         row = PartonScanRow(
             eta=e,
             sigma_u=math.sqrt(m_u2),

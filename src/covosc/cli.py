@@ -11,6 +11,11 @@ _COMMANDS, with the keys it reads; the flags, the resolution of a flag over
 a --config file over the default, and the echo all follow from these two
 tables. A --config key the command does not read is refused.
 
+Quadrature takes no key: each request integrates on the exact Gauss-Hermite
+rule, analysis.exact_order of its polynomial degree, which is n_z + 1 nodes
+per axis for marginal, overlap and the verify norm and 2 for parton-scan's
+ground-state second moments.
+
 Results are rendered column-wise with the same 15-significant-digit text
 in both formats: each float column is checked for NaN/Inf once, and a grid
 axis is formatted once per axis point rather than once per cell. A float
@@ -84,7 +89,6 @@ _KEYS = {
     "min": _Key(float, None, "grid lower edge"),
     "max": _Key(float, None, "grid upper edge"),
     "step": _Key(float, None, "grid spacing"),
-    "order": _Key(int, analysis.DEFAULT_ORDER, "quadrature order"),
     "fd_step": _Key(float, analysis.DEFAULT_FD_STEP, "finite-difference step"),
     "axis": _Key(str, "z", "coordinate kept by the marginal", analysis.MARGINAL_AXES),
     "representation": _Key(str, "spacetime", "spacetime psi(z, t) or momentum phi(q_z, q_0)",
@@ -256,17 +260,18 @@ def _cmd_marginal(cfg: RunConfig):
     state = OscillatorState(cfg.n_z, 0, 0, cfg.eta)
     half = 4.0 * analysis.ground_widths(state.eta)[cfg.axis] * math.sqrt(state.n_z + 1.0)
     spec = _grid_spec(cfg, half, default_points=201)
-    field = analysis.marginal(state, cfg.axis, spec, cfg.order)
+    field = analysis.marginal(state, cfg.axis, spec, analysis.exact_order(2 * state.n_z))
     return {cfg.axis: field.points(), "density": field.values}
 
 
 def _cmd_overlap(cfg: RunConfig):
     etas = _require_etas(cfg)
     reference = OscillatorState(cfg.n_z, 0, 0, etas[0])
+    order = analysis.exact_order(2 * reference.n_z)
     return {
         "eta_ref": [etas[0]] * len(etas),
         "eta": etas,
-        "overlap": [analysis.overlap(OscillatorState(cfg.n_z, 0, 0, eta), reference, cfg.order)
+        "overlap": [analysis.overlap(OscillatorState(cfg.n_z, 0, 0, eta), reference, order)
                     for eta in etas],
     }
 
@@ -283,12 +288,12 @@ def _cmd_verify(cfg: RunConfig):
     report = analysis.pde_residual(state, spec, cfg.fd_step)
     names = ("n_z", "eta", "lambda", "rayleigh_quotient", "max_residual", "norm")
     row = (state.n_z, state.eta, report.eigenvalue, report.rayleigh_quotient,
-           report.max_rel_residual, analysis.norm(state, cfg.order))
+           report.max_rel_residual, analysis.norm(state, analysis.exact_order(2 * state.n_z)))
     return {name: [value] for name, value in zip(names, row)}
 
 
 def _cmd_parton_scan(cfg: RunConfig):
-    rows = analysis.parton_scan(_require_etas(cfg), cfg.order)
+    rows = analysis.parton_scan(_require_etas(cfg), analysis.exact_order(2))
     names = ("eta", "sigma_u", "sigma_v", "sigma_z", "sigma_qz", "aspect", "time_dilation")
     return {name: [getattr(r, name) for r in rows] for name in names}
 
@@ -313,13 +318,13 @@ _COMMANDS = {
                      ("eta", "n_z", "min", "max", "step", "representation"),
                      _cmd_grid),
     "marginal": _Command("1-D probability density along one axis",
-                         ("eta", "n_z", "min", "max", "step", "order", "axis"), _cmd_marginal),
+                         ("eta", "n_z", "min", "max", "step", "axis"), _cmd_marginal),
     "overlap": _Command("frame overlaps against the first rapidity",
-                        ("etas", "n_z", "order"), _cmd_overlap),
+                        ("etas", "n_z"), _cmd_overlap),
     "verify": _Command("oscillator-equation residual and norm of one state",
-                       ("eta", "n_z", "min", "max", "step", "order", "fd_step"), _cmd_verify),
+                       ("eta", "n_z", "min", "max", "step", "fd_step"), _cmd_verify),
     "parton-scan": _Command("squeeze widths of the ground state per rapidity",
-                            ("etas", "order"), _cmd_parton_scan),
+                            ("etas",), _cmd_parton_scan),
     "entropy-scan": _Command("exact entropy/purity/spectrum of the reduced density per rapidity",
                              ("etas",), _cmd_entropy_scan),
 }

@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 
 from covosc import analysis
 from covosc import (
+    ETA_MAX,
     ConfigError,
     DomainError,
     FieldGrid,
@@ -123,6 +126,32 @@ def blocked_table():
     # rows from b = 5.4 on hold no cell above the mask floor at n_z = 0
     yield pytest.param(0, 0.0, GridSpec(-3.0, 9.0, 0.02), 0.01, id="empty trailing blocks")
     yield pytest.param(4, -0.4, GridSpec(-6.0, 6.0, 0.02), 0.1, id="fd_step 0.1")
+    yield from peak_table()
+
+
+def peak_table():
+    """Grids whose max|psi| sits on an edge of the Hankel or Toeplitz lines, and a 1-point grid."""
+    # the diagonal cells sit at the nodes of h_2, so the peak is on i - j = +-(N - 1)
+    yield pytest.param(2, 0.0, GridSpec(-0.5, 0.5, 1.0), 0.01, id="peak on |i - j| = N - 1")
+    # the window lies beside the state: the peak is the corner cell i + j = 0
+    yield pytest.param(0, 0.3, GridSpec(2.0, 5.0, 0.1), 0.01, id="peak on i + j = 0")
+    yield pytest.param(0, -0.3, GridSpec(-5.0, -2.0, 0.1), 0.01, id="peak on i + j = 2N - 2")
+    yield pytest.param(1, 0.7, GridSpec(0.3, 0.5, 1.0), 0.01, id="1-point grid")
+
+
+def peak_of_every_cell(h, g):
+    """Oracle: max |h[i + j] g[i - j + n - 1]| over the whole n x n grid, and its cell."""
+    n = len(g) // 2 + 1
+    magnitude = np.abs(sliding_window_view(h, n) * sliding_window_view(g, n)[:, ::-1])
+    return float(magnitude.max()), np.unravel_index(np.argmax(magnitude), magnitude.shape)
+
+
+def stencil_lines(n_z, grid):
+    """H_0 and G_0 of pde_residual: h_{n_z} along i + j and h_0 along i - j."""
+    n = grid.npoints
+    sums = 2.0 * grid.min + grid.step * np.arange(2 * n - 1)
+    diffs = grid.step * np.arange(1 - n, n)
+    return hermite_function(n_z, sums / SQRT2), hermite_function(0, diffs / SQRT2)
 
 
 ORACLE_N_Z = (0, 1, 2, 3, 4, 16)
@@ -272,6 +301,23 @@ class TestPdeResidual:
         starts = [window.points()[b][0] for b in analysis._row_blocks(window.npoints)]
         assert sum(a > 5.3 for a in starts) >= 2
 
+    @pytest.mark.parametrize("n_z, eta, grid, fd_step", peak_table())
+    def test_peak_on_the_edges(self, n_z, eta, grid, fd_step):
+        h, g = stencil_lines(n_z, grid)
+        want, (i, j) = peak_of_every_cell(h, g)
+        assert analysis._peak(h, g) == want
+        n = grid.npoints
+        assert n == 1 or abs(i - j) == n - 1 or i + j in (0, 2 * n - 2)
+
+    def test_peak_equals_every_cell_maximum(self):
+        # signs, magnitudes from subnormal to near overflow, every n up to 40
+        rng = np.random.default_rng(7)
+        for n in range(1, 41):
+            for _ in range(5):
+                h = rng.standard_normal(2 * n - 1) * 10.0 ** rng.uniform(-300, 300, 2 * n - 1)
+                g = rng.standard_normal(2 * n - 1)
+                assert analysis._peak(h, g) == peak_of_every_cell(h, g)[0], n
+
     def test_peak_memory_per_cell(self):
         state, grid = OscillatorState(n_z=3, eta=0.7), verify_grid(3)
         pde_residual(state, grid)
@@ -353,6 +399,29 @@ class TestOverlap:
         with pytest.raises(DomainError):
             overlap(OscillatorState(n_x=1), OscillatorState(), 32)
 
+    def test_below_exact_order_refused(self):
+        # order 2 gave 0.1031 here, against sech^4 0.5 = 0.6185
+        a, b = OscillatorState(n_z=3, eta=0.5), OscillatorState(n_z=3)
+        with pytest.raises(ConfigError, match="quadrature order 2 is below 4"):
+            overlap(a, b, 2)
+        assert overlap(a, b, 4) == pytest.approx(math.cosh(0.5) ** -4, abs=1e-15)
+        with pytest.raises(ConfigError, match="quadrature order 4 is below 5"):
+            overlap(OscillatorState(n_z=3), OscillatorState(n_z=5), 4)
+        with pytest.raises(ConfigError, match="quadrature order 3 is below 6"):
+            norm(OscillatorState(n_z=5), 3)
+        # 64 nodes were one short at n_z = 64
+        with pytest.raises(ConfigError, match="quadrature order 64 is below 65"):
+            norm(OscillatorState(n_z=64))
+
+    @given(st.integers(0, 63), st.floats(-ETA_MAX + 1.5, ETA_MAX - 1.5),
+           st.floats(-1.5, 1.5))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_order_and_64_nodes_meet_the_closed_form(self, n_z, eta, delta):
+        a, b = OscillatorState(n_z=n_z, eta=eta + delta), OscillatorState(n_z=n_z, eta=eta)
+        want = math.cosh(a.eta - b.eta) ** -(n_z + 1)
+        for order in (analysis.exact_order(2 * n_z), 64):
+            assert overlap(a, b, order) == pytest.approx(want, rel=0.0, abs=5e-14), order
+
 
 class TestMarginal:
     def test_rest_z_density(self):
@@ -407,6 +476,22 @@ class TestMarginal:
     def test_bad_axis(self):
         with pytest.raises(DomainError):
             marginal(OscillatorState(), "w", GridSpec(-1.0, 1.0, 0.5))
+
+    def test_below_exact_order_refused(self):
+        # order 1 integrated to 0.375 on the default grid of the u axis
+        state = OscillatorState(n_z=2, eta=0.3)
+        with pytest.raises(ConfigError, match="quadrature order 1 is below 3"):
+            marginal(state, "u", GridSpec(-4.0, 4.0, 0.5), 1)
+
+    @given(st.integers(0, 10), st.floats(-3.0, 3.0), st.sampled_from(analysis.MARGINAL_AXES))
+    @settings(max_examples=100, deadline=None)
+    def test_exact_order_matches_64_nodes(self, n_z, eta, axis):
+        state = OscillatorState(n_z=n_z, eta=eta)
+        half = 4.0 * analysis.ground_widths(eta)[axis] * math.sqrt(n_z + 1.0)
+        grid = GridSpec.symmetric(half, 41)
+        exact = marginal(state, axis, grid, analysis.exact_order(2 * n_z)).values
+        np.testing.assert_allclose(exact, marginal(state, axis, grid, 64).values,
+                                   rtol=0.0, atol=1e-13)
 
 
 def momentum_variance(eta):
@@ -467,8 +552,15 @@ class TestPartonScan:
 
     def test_one_node_rule_refused(self):
         # the one node sits at the origin, where every second moment is 0
-        with pytest.raises(NumericIntegrityError, match="quadrature order 1 "):
+        with pytest.raises(ConfigError, match="quadrature order 1 is below 2"):
             parton_scan([0.0, 0.5], order=1)
+
+    @given(st.lists(st.floats(-ETA_MAX, ETA_MAX), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_order_matches_64_nodes(self, etas):
+        for exact, dense in zip(parton_scan(etas, analysis.exact_order(2)), parton_scan(etas, 64)):
+            for name in ("sigma_u", "sigma_v", "sigma_z", "sigma_qz", "aspect", "time_dilation"):
+                assert getattr(exact, name) == pytest.approx(getattr(dense, name), rel=1e-13)
 
 
 class TestRenderGrid:

@@ -148,7 +148,7 @@ class TestPartonScanCommand:
                           "aspect", "time_dilation"]
         assert len(rows) == 5
         assert any("command = parton-scan" in c for c in comments)
-        assert any("order = 64" in c for c in comments)
+        assert not any("order" in c for c in comments)
 
     def test_values_match_library(self, tmp_path):
         code, out = run_cli(["parton-scan", "--etas", "0,1"], tmp_path, "scan.csv")
@@ -184,22 +184,57 @@ class TestPartonScanCommand:
         payload = json.loads(out.read_text())
         assert payload["config"]["command"] == "parton-scan"
         assert payload["config"]["etas"] == [0.0, 1.0]
-        assert payload["config"]["order"] == 64
+        assert "order" not in payload["config"]
 
     def test_missing_etas_fails(self, tmp_path, capsys):
         code, _ = run_cli(["parton-scan"], tmp_path, "scan.csv")
         assert code == 1
         assert "etas" in capsys.readouterr().err
 
-    def test_one_node_rule_exits_2(self, tmp_path, capsys):
-        # the one node sits at the origin, so every second moment is 0
-        code, out = run_cli(
-            ["parton-scan", "--etas", "0,0.5,1", "--order", "1"], tmp_path, "scan.csv")
-        assert code == 2
+
+# the commands that integrate, with what each needs besides the state
+QUADRATURE_REQUESTS = {
+    "marginal": ["--axis", "t", "--eta=0.4"],
+    "overlap": ["--etas=0,0.5,-1"],
+    "verify": ["--eta=-0.3"],
+    "parton-scan": ["--etas=0,0.5,2"],
+}
+
+
+def exact_rule_table():
+    """CLI requests with the one rule order each must build."""
+    for command, n_zs in (("marginal", (0, 3)), ("overlap", (0, 2, 64)),
+                          ("verify", (0, 3, 16, 64))):
+        for n_z in n_zs:
+            argv = [command, "--n-z", str(n_z), *QUADRATURE_REQUESTS[command]]
+            yield pytest.param(argv, n_z + 1, id=" ".join(argv))
+    argv = ["parton-scan", *QUADRATURE_REQUESTS["parton-scan"]]
+    yield pytest.param(argv, 2, id=" ".join(argv))
+
+
+class TestExactRule:
+    @pytest.mark.parametrize("command", QUADRATURE_REQUESTS)
+    def test_order_flag_exits_1(self, command, tmp_path, capsys):
+        code, out = run_cli([command, *QUADRATURE_REQUESTS[command], "--order", "64"], tmp_path)
+        assert code == 1
         assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("covosc: numeric integrity: quadrature order 1 ")
+        assert "unrecognized arguments: --order 64" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, order", exact_rule_table())
+    def test_requests_build_only_the_exact_rule(self, argv, order, tmp_path, monkeypatch):
+        # n_z + 1 nodes are exact for the degree-2 n_z products, 2 for the
+        # ground state's second moments; 64 nodes were one short at n_z = 64
+        built = []
+        build = analysis.gauss_hermite
+
+        def record(order):
+            built.append(order)
+            return build(order)
+
+        monkeypatch.setattr(analysis, "gauss_hermite", record)
+        code, _ = run_cli(argv, tmp_path)
+        assert code == 0
+        assert built and set(built) == {order}
 
 
 class TestVerifyCommand:
@@ -361,21 +396,21 @@ class TestOtherCommands:
 class TestConfigFile:
     def test_file_supplies_flags(self, tmp_path):
         cfg = tmp_path / "run.conf"
-        cfg.write_text("etas = 0,1\nformat = json\norder = 32\n")
-        code, out = run_cli(["parton-scan", "--config", str(cfg)], tmp_path, "scan.out")
+        cfg.write_text("etas = 0,1\nformat = json\nn_z = 3\n")
+        code, out = run_cli(["overlap", "--config", str(cfg)], tmp_path, "ov.out")
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["config"]["order"] == 32
+        assert payload["config"]["n_z"] == 3
         assert payload["config"]["etas"] == [0.0, 1.0]
 
     def test_flags_override_file(self, tmp_path):
         cfg = tmp_path / "run.conf"
-        cfg.write_text("etas = 0,1\norder = 32\n")
+        cfg.write_text("etas = 0,1\nn_z = 3\n")
         code, out = run_cli(
-            ["parton-scan", "--config", str(cfg), "--order", "48", "--format", "json"],
-            tmp_path, "scan.out")
+            ["overlap", "--config", str(cfg), "--n-z", "4", "--format", "json"],
+            tmp_path, "ov.out")
         assert code == 0
-        assert json.loads(out.read_text())["config"]["order"] == 48
+        assert json.loads(out.read_text())["config"]["n_z"] == 4
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
@@ -386,7 +421,7 @@ class TestConfigFile:
 
     def test_malformed_line_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.conf"
-        cfg.write_text("order 32\n")
+        cfg.write_text("etas 0,1\n")
         code, _ = run_cli(["parton-scan", "--config", str(cfg)], tmp_path, "scan.out")
         assert code == 1
         assert "key = value" in capsys.readouterr().err
@@ -396,14 +431,15 @@ class TestConfigFile:
 READS = {
     "boost": {"eta", "etas"},
     "grid": {"eta", "n_z", "min", "max", "step", "representation"},
-    "marginal": {"eta", "n_z", "min", "max", "step", "order", "axis"},
-    "overlap": {"etas", "n_z", "order"},
-    "verify": {"eta", "n_z", "min", "max", "step", "order", "fd_step"},
-    "parton-scan": {"etas", "order"},
+    "marginal": {"eta", "n_z", "min", "max", "step", "axis"},
+    "overlap": {"etas", "n_z"},
+    "verify": {"eta", "n_z", "min", "max", "step", "fd_step"},
+    "parton-scan": {"etas"},
     "entropy-scan": {"etas"},
 }
 # one valid value per key: its config text, its CSV echo and its JSON echo;
-# n_x and n_y are no command's keys any more, so every command refuses them
+# n_x, n_y and order are no command's keys any more, so every command refuses
+# them: each request integrates on its exact rule
 VALUES = {
     "eta": ("0.5", "0.5", 0.5),
     "etas": ("0, 0.5", "0.0,0.5", [0.0, 0.5]),
@@ -413,7 +449,7 @@ VALUES = {
     "min": ("-2", "-2.0", -2.0),
     "max": ("2", "2.0", 2.0),
     "step": ("0.5", "0.5", 0.5),
-    "order": ("32", "32", 32),
+    "order": ("64", "64", 64),
     "fd_step": ("0.02", "0.02", 0.02),
     "axis": ("u", "u", "u"),
     "representation": ("momentum", "momentum", "momentum"),
@@ -423,7 +459,7 @@ BASE = {command: ({"etas": "0,0.5"} if command in ("overlap", "parton-scan", "en
                   else {}) for command in READS}
 PAIRS = [(command, key) for command in READS for key in VALUES]
 # two values per (command, key) whose results differ outside the echo, on top
-# of LIVE_BASE: every key a command reads must reach what it computes
+# of BASE: every key a command reads must reach what it computes
 LIVE = {
     ("boost", "eta"): ("0.5", "1.5"),
     ("boost", "etas"): ("0,0.5", "0,1.5"),
@@ -438,26 +474,18 @@ LIVE = {
     ("marginal", "min"): ("-2", "-1"),
     ("marginal", "max"): ("1", "2"),
     ("marginal", "step"): ("0.5", "0.25"),
-    ("marginal", "order"): ("2", "64"),
     ("marginal", "axis"): ("z", "u"),
     ("overlap", "etas"): ("0,0.5", "0,1.5"),
     ("overlap", "n_z"): ("0", "1"),
-    ("overlap", "order"): ("2", "64"),
     ("verify", "eta"): ("0.5", "1.5"),
     ("verify", "n_z"): ("0", "1"),
     ("verify", "min"): ("-2", "-1"),
     ("verify", "max"): ("1", "2"),
     ("verify", "step"): ("0.05", "0.1"),
-    ("verify", "order"): ("2", "64"),
     ("verify", "fd_step"): ("0.01", "0.02"),
     ("parton-scan", "etas"): ("0,0.5", "0,1.5"),
-    # the ground-state moments are exact from 2 nodes, so 2 and 3 differ by rounding
-    ("parton-scan", "order"): ("2", "3"),
     ("entropy-scan", "etas"): ("0.5", "1.5"),
 }
-# at n_z = 3 an order of 2 is below the exact rule, so order changes the values
-LIVE_BASE = {**BASE, "marginal": {"n_z": "3"}, "overlap": {"etas": "0,0.5", "n_z": "3"},
-             "verify": {"n_z": "3"}}
 
 
 class TestConfigSchema:
@@ -502,7 +530,7 @@ class TestConfigSchema:
     def test_every_read_key_changes_the_result(self, command, key, tmp_path):
         results = []
         for value in LIVE[command, key]:
-            code, out = self.run_with_file(tmp_path, command, {**LIVE_BASE[command], key: value})
+            code, out = self.run_with_file(tmp_path, command, {**BASE[command], key: value})
             assert code == 0, (command, key, value)
             results.append([line for line in out.read_text().splitlines()
                             if not line.startswith("#")])

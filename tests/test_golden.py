@@ -6,6 +6,9 @@ to how results are computed or rendered must keep these bytes, unless it
 declares an output change and regenerates the file:
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints each case whose entry changed (argv, exit status, old -> new
+byte count) before it writes the file, and nothing when no entry changed.
 """
 
 import hashlib
@@ -70,6 +73,12 @@ def test_output_bytes_unchanged(index, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    old = {tuple(e["argv"]): e for e in json.loads(GOLDEN.read_text())} if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as directory:
         golden = [record(argv, *render(argv, directory)) for argv in CASES]
+    for entry in golden:
+        before = old.get(tuple(entry["argv"]), {})
+        if entry != before:
+            print(f"{' '.join(entry['argv'])}: exit {before.get('exit')} -> {entry['exit']}, "
+                  f"{before.get('bytes')} -> {entry.get('bytes')} bytes")
     GOLDEN.write_text("[\n" + ",\n".join(map(json.dumps, golden)) + "\n]\n")
