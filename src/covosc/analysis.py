@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DomainError, NumericIntegrityError
 from .hermite import gauss_hermite, hermite_function
@@ -31,7 +30,6 @@ __all__ = [
     "FieldGrid",
     "GridSpec",
     "MAX_GRID_CELLS",
-    "MAX_RESIDUAL_CELLS",
     "PartonScanRow",
     "PdeResidualReport",
     "marginal",
@@ -48,14 +46,8 @@ MAX_POINTS_PER_AXIS = 10_000
 # and one row block), so this caps a dense dump near 120 and 215 MB of RSS; it
 # is checked before anything is evaluated
 MAX_GRID_CELLS = 1001**2
-# pde_residual holds 16 B per cell at its peak: one buffer for the masked
-# products of the Rayleigh sums, written only where the mask holds (the stencil
-# lines are 2N - 1 points, a row block's temporaries well under 1 MB), so this
-# caps a residual check near 100 MB of arrays; the largest default verify grid,
-# at n_z = 64, has 2281^2 cells
-MAX_RESIDUAL_CELLS = 2501**2
-# pde_residual and render_grid work through their grids in row blocks of about
-# this many cells, so each block's temporaries stay in cache
+# render_grid fills its field in row blocks of about this many cells, so each
+# block's temporaries stay in cache
 _BLOCK_CELLS = 8192
 DEFAULT_ORDER = 64
 DEFAULT_FD_STEP = 0.01
@@ -273,24 +265,6 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
-def _peak(h: np.ndarray, g: np.ndarray) -> float:
-    """max |h[i + j] g[i - j + n - 1]| over the n x n grid, in O(n).
-
-    Where |i - j| = k, the sums i + j run over k, k + 2, ..., 2n - 2 - k, so
-    the largest |h| that diagonal reaches is a running maximum from the two
-    ends of h inwards, one per parity of k. Since |fl(x y)| = fl(|x| |y|) and
-    rounded multiplication is monotone, this equals the maximum of the
-    rounded products over every cell to the last bit.
-    """
-    n = len(g) // 2 + 1
-    a = np.abs(h)
-    reach = np.maximum(a[:n], a[::-1][:n])
-    for parity in (0, 1):
-        reach[parity::2] = np.maximum.accumulate(reach[parity::2][::-1])[::-1]
-    # g[m] sits on the diagonal i - j = m - (n - 1)
-    return float((np.concatenate((reach[:0:-1], reach)) * np.abs(g)).max())
-
-
 def pde_residual(state: OscillatorState, grid: GridSpec,
                  fd_step: float = DEFAULT_FD_STEP) -> PdeResidualReport:
     """Residual of the longitudinal oscillator equation on a squeeze-adapted grid.
@@ -307,82 +281,94 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     laid out along the squeezed axes: grid coordinate (a, b) sits at
     u = e^{eta} a, v = e^{-eta} b with stencil steps scaled the same way.
 
-    There the state is h_{n_z}((a + b)/sqrt(2)) h_0((a - b)/sqrt(2)), and with
-    a = min + step i, b = min + step j the first factor depends only on i + j
-    and the second only on i - j. Every stencil sample, shifted by c along
-    a + b or a - b (c in {0, +-2 fd_step}), is therefore H_c[i + j] G_c[i - j]
-    with H_c = h_{n_z}((2 min + step s + c)/sqrt(2)) for s = 0 .. 2N - 2 and
-    G_c = h_0((step d + c)/sqrt(2)) for d = -(N - 1) .. N - 1: six Hermite
-    evaluations of 2N - 1 points, read as N x N Hankel and Toeplitz views.
+    There the state is h_{n_z}(sigma/sqrt(2)) h_0(delta/sqrt(2)) with
+    sigma = a + b and delta = a - b, and with a = min + step i,
+    b = min + step j, sigma depends only on s = i + j and delta only on
+    d = i - j. Since h_n'' = (x^2 - 2n - 1) h_n, the exact parts of the
+    stencil cancel in closed form, and the residual D psi - n_z psi of cell
+    (s, d) is the rank-2 sum of two 1-D truncation errors,
 
-    max|psi| comes from H_0 and G_0 alone in O(N) (_peak). The stencil is
-    then formed in row blocks of about _BLOCK_CELLS cells, so no N x N
-    temporary is held, and only the masked products are kept. Those are
-    summed once, in grid order, so the result is the same to the last bit as
-    that of the whole grid at once.
+        r[s, d] = H_0[s] e_b[|d|] + e_a[s] G_0[|d|],
+        e_a = (sigma^2/4 - n_z - 1/2) H_0 - (H_+ + H_- - 2 H_0) / (4 h_u h_v),
+        e_b = (1/2 - delta^2/4) G_0 + (G_+ + G_- - 2 G_0) / (4 h_u h_v).
+
+    H_c is the state on the line a = b = (sigma + c)/2, and G_c the ground
+    state at the same rapidity on a = -b = (delta + c)/2, c in
+    {0, +-2 fd_step}, each divided by h_0(0). All six lines are read through
+    psi_boosted_lightcone, so the residual sees the boost itself.
+
+    |G_0| must not grow with |d| (checked; NumericIntegrityError otherwise).
+    Then max|psi| is the largest |H_0[s]| |G_0[s mod 2]|, and the cells
+    above MASK_FLOOR times it form one band |d| <= top(s) per row s, with d
+    of the parity of s. The Rayleigh sums over the bands come from prefix
+    sums over each parity of d. The masked maximum is found best-first: rows
+    are evaluated in batches, in order of a bound that no cell of the row
+    exceeds, until the next bound falls below the best value so far. No
+    N x N array is formed.
 
     Returns the model eigenvalue n_z, its Rayleigh-quotient estimate from the
     grid data, and the masked maximum of |D psi - n_z psi| / max|psi| using
-    second-order central differences with the given step. Grids of more than
-    MAX_RESIDUAL_CELLS cells are refused with a ConfigError.
+    second-order central differences with the given step.
     """
     if state.n_x or state.n_y:
         raise DomainError("residual check covers the (z, t) sector; transverse numbers must be 0")
     fd_step = float(fd_step)
     if not 1e-4 <= fd_step <= 1e-1:
         raise ConfigError(f"fd_step {fd_step} outside [1e-4, 1e-1]")
-    _check_cells(grid, MAX_RESIDUAL_CELLS)
     n = grid.npoints
-    pts = grid.points()
-    sums = 2.0 * grid.min + grid.step * np.arange(2 * n - 1)
-    diffs = grid.step * np.arange(1 - n, n)
+    s, k = np.arange(2 * n - 1), np.arange(n)
+    sums, diffs = 2.0 * grid.min + grid.step * s, grid.step * k
+    e_u, e_v = math.exp(state.eta), math.exp(-state.eta)
+    ground, h_origin = OscillatorState(eta=state.eta), hermite_function(0, 0.0)
 
-    def hankel(x: np.ndarray) -> np.ndarray:
-        return sliding_window_view(x, n)  # [i, j] -> x[i + j]
-
-    def toeplitz(x: np.ndarray) -> np.ndarray:
-        return sliding_window_view(x, n)[:, ::-1]  # [i, j] -> x[i - j + n - 1]
+    def line(which: OscillatorState, x: np.ndarray, sign: float) -> np.ndarray:
+        # the state on a = sign b = x / 2
+        return psi_boosted_lightcone(which, e_u * x / 2.0, sign * e_v * x / 2.0) / h_origin
 
     shifts = (0.0, 2.0 * fd_step, -2.0 * fd_step)
-    h0, h_plus, h_minus = (hermite_function(state.n_z, (sums + c) / SQRT2) for c in shifts)
-    g0, g_plus, g_minus = (hermite_function(0, (diffs + c) / SQRT2) for c in shifts)
-    h_u, h_v = math.exp(state.eta) * fd_step, math.exp(-state.eta) * fd_step
-    h_center, h_sum = hankel(h0), hankel(h_plus + h_minus)
-    g_center, g_sum = toeplitz(g0), toeplitz(g_plus + g_minus)
-    peak = _peak(h0, g0)
+    h0, h_plus, h_minus = (line(state, sums + c, 1.0) for c in shifts)
+    g0, g_plus, g_minus = (line(ground, diffs + c, -1.0) for c in shifts)
+    hh = 4.0 * (e_u * fd_step) * (e_v * fd_step)
+    lam = float(state.n_z)
+    e_a = (sums**2 / 4.0 - lam - 0.5) * h0 - (h_plus + h_minus - 2.0 * h0) / hh
+    e_b = (0.5 - diffs**2 / 4.0) * g0 + (g_plus + g_minus - 2.0 * g0) / hh
+    h_abs, g_abs = np.abs(h0), np.abs(g0)
+    if np.any(g_abs[1:] > g_abs[:-1]):
+        raise NumericIntegrityError("|psi| grows away from a = b; the band mask needs it to fall")
+    peak = float(np.max(h_abs * g_abs[s % 2]))
     if peak == 0.0:
         raise ConfigError("grid does not touch the state's support")
-    floor, lam = MASK_FLOOR * peak, float(state.n_z)
-    # the masked products are summed once, in grid order, as one contiguous
-    # sequence: per-block partial sums would round differently. One allocation,
-    # not two: freeing two such buffers crosses glibc's heap trim threshold, so
-    # every call would fault in fresh pages (about 1,100 per call at 566^2)
-    products, squares = np.empty((2, n * n))
-    count, worst = 0, 0.0
-    for b in _row_blocks(n):
-        # applied = u v psi - cross with u v = a b, built in place as
-        # (H_0 (G_+ + G_-) - (H_+ + H_-) G_0) / (4 h_u h_v) + a b psi
-        center = h_center[b] * g_center[b]
-        applied = h_center[b] * g_sum[b]
-        applied -= h_sum[b] * g_center[b]
-        applied /= 4.0 * h_u * h_v
-        uv_psi = center * pts[b, None]
-        uv_psi *= pts[None, :]
-        applied += uv_psi
-        mask = np.abs(center) > floor
-        center, applied = center[mask], applied[mask]
-        if not center.size:
-            continue
-        worst = max(worst, float(np.abs(applied - lam * center).max()))
-        end = count + center.size
-        np.multiply(center, applied, out=products[count:end])
-        np.multiply(center, center, out=squares[count:end])
-        count = end
+    with np.errstate(divide="ignore", over="ignore"):
+        floor = MASK_FLOOR * peak / h_abs
+    top = np.minimum(np.searchsorted(-g_abs, -floor) - 1, np.minimum(s, 2 * n - 2 - s))
+    rows = np.flatnonzero(top >= s % 2)
+    p, h, e = rows % 2, h0[rows], e_a[rows]
+    # row s holds the cells |d| = p + 2 j, j = 0 .. last, with p = s mod 2
+    last = (top[rows] - p) // 2
+    # [p, j] -> x[p + 2 j]; each |d| > 0 holds the two cells d = +-|d|
+    weight = np.where(k > 0, 2.0, 1.0)
+    b_cols, g_cols, cross, square = (np.resize(x, ((n + 1) // 2, 2)).T for x in (
+        e_b, g0, weight * g0 * e_b, weight * g0 * g0))
+    cross, square = np.cumsum(cross, axis=1)[p, last], np.cumsum(square, axis=1)[p, last]
+    # |psi| / peak keeps the squares in range where psi**2 would underflow
+    x, y = h / peak, e / peak
+    rayleigh = lam + np.sum(x * (x * cross + y * square)) / np.sum(x * x * square)
+    bound = (np.abs(h) * np.maximum.accumulate(np.abs(b_cols), axis=1)[p, last]
+             + np.abs(e) * g_abs[p])
+    order, worst = np.argsort(-bound), 0.0
+    for start in range(0, order.size, 64):
+        i = order[start:start + 64]
+        # rounding can lift a cell a few ulps above its row's bound
+        if bound[i[0]] * (1.0 + 1e-12) < worst:
+            break
+        j = np.arange(last[i].max() + 1)
+        cells = np.abs(h[i, None] * b_cols[p[i], :j.size] + e[i, None] * g_cols[p[i], :j.size])
+        worst = max(worst, float(np.where(j <= last[i, None], cells, 0.0).max()))
     return PdeResidualReport(
         eigenvalue=lam,
-        rayleigh_quotient=float(np.sum(products[:count]) / np.sum(squares[:count])),
+        rayleigh_quotient=float(rayleigh),
         max_rel_residual=worst / peak,
-        masked_points=count,
+        masked_points=int(np.sum(p + 2 * last + 1)),
     )
 
 

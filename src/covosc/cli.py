@@ -286,9 +286,12 @@ def _cmd_verify(cfg: RunConfig):
     step = cfg.step if cfg.step is not None else 0.02
     spec = GridSpec(lo, hi, step)
     report = analysis.pde_residual(state, spec, cfg.fd_step)
+    norm = analysis.norm(state, analysis.exact_order(2 * state.n_z))
+    if abs(norm - 1.0) > 1e-8:
+        raise NumericIntegrityError(f"norm {norm!r} deviates from 1 by more than 1e-8")
     names = ("n_z", "eta", "lambda", "rayleigh_quotient", "max_residual", "norm")
     row = (state.n_z, state.eta, report.eigenvalue, report.rayleigh_quotient,
-           report.max_rel_residual, analysis.norm(state, analysis.exact_order(2 * state.n_z)))
+           report.max_rel_residual, norm)
     return {name: [value] for name, value in zip(names, row)}
 
 

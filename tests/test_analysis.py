@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import integrate
 
 from covosc import analysis
@@ -27,8 +26,8 @@ from covosc import (
     render_grid,
 )
 from covosc.hermite import hermite_function
-from covosc.kinematics import SQRT2
 from covosc.oscillator import psi_boosted_lightcone
+from wrong_boosts import boost_backwards, squeeze_both_axes
 
 LN2 = math.log(2.0)
 INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
@@ -38,7 +37,7 @@ def residual_by_samples(state, grid, fd_step):
     """Oracle: the residual from five psi samples on the full grid, one per stencil point.
 
     Returns (rayleigh_quotient, max_rel_residual, masked_points) as pde_residual
-    computed them before it read the samples as Hankel and Toeplitz views.
+    computed them before it read the samples from 1-D lines.
     """
     pts = grid.points()
     a = pts[:, None]
@@ -64,74 +63,24 @@ def residual_by_samples(state, grid, fd_step):
     return rayleigh, float(residual.max() / peak), int(mask.sum())
 
 
-def residual_whole_grid(state, grid, fd_step):
-    """Oracle: pde_residual as it was before it worked in row blocks.
-
-    The same Hankel and Toeplitz views, read as whole N x N arrays with one
-    mask and one contiguous sum each: the blocked version must give the same
-    report bit for bit.
-    """
-    n = grid.npoints
-    pts = grid.points()
-    sums = 2.0 * grid.min + grid.step * np.arange(2 * n - 1)
-    diffs = grid.step * np.arange(1 - n, n)
-
-    def hankel(x):
-        return sliding_window_view(x, n)  # [i, j] -> x[i + j]
-
-    def toeplitz(x):
-        return sliding_window_view(x, n)[:, ::-1]  # [i, j] -> x[i - j + n - 1]
-
-    shifts = (0.0, 2.0 * fd_step, -2.0 * fd_step)
-    h0, h_plus, h_minus = (hermite_function(state.n_z, (sums + c) / SQRT2) for c in shifts)
-    g0, g_plus, g_minus = (hermite_function(0, (diffs + c) / SQRT2) for c in shifts)
-    h_u, h_v = math.exp(state.eta) * fd_step, math.exp(-state.eta) * fd_step
-    center = hankel(h0) * toeplitz(g0)
-    applied = hankel(h0) * toeplitz(g_plus + g_minus)
-    applied -= hankel(h_plus + h_minus) * toeplitz(g0)
-    applied /= 4.0 * h_u * h_v
-    uv_psi = center * pts[:, None]
-    uv_psi *= pts[None, :]
-    applied += uv_psi
-    magnitude = np.abs(center)
-    peak = float(magnitude.max())
-    mask = magnitude > analysis.MASK_FLOOR * peak
-    center, applied = center[mask], applied[mask]
-    lam = float(state.n_z)
-    residual = np.abs(applied - lam * center)
-    rayleigh = float(np.sum(center * applied) / np.sum(center**2))
-    return analysis.PdeResidualReport(
-        eigenvalue=lam,
-        rayleigh_quotient=rayleigh,
-        max_rel_residual=float(residual.max() / peak),
-        masked_points=int(center.size),
-    )
-
-
 def verify_grid(n_z):
     """The default grid of the verify command."""
     half = 4.0 * math.sqrt((n_z + 1.0) / 2.0)
     return GridSpec(-half, half, 0.02)
 
 
-def blocked_table():
-    """Default verify grids over n_z and eta, fd_step cycling, then the block edge cases."""
+def verify_table():
+    """Default verify grids over n_z and eta, fd_step cycling, then grids at the band's edges."""
     steps = (1e-4, 0.01, 0.1)
     for k, (n_z, eta) in enumerate(itertools.product((0, 3, 16), (0.0, 1.3, -1.3, 50.0))):
         grid, fd_step = verify_grid(n_z), steps[k % len(steps)]
         yield pytest.param(n_z, eta, grid, fd_step,
                            id=f"n_z={n_z} eta={eta} N={grid.npoints} fd_step={fd_step}")
-    # fewer points than one block has rows
-    yield pytest.param(2, 0.7, GridSpec(-3.0, 3.0, 0.1), 0.01, id="one block")
-    # rows from b = 5.4 on hold no cell above the mask floor at n_z = 0
-    yield pytest.param(0, 0.0, GridSpec(-3.0, 9.0, 0.02), 0.01, id="empty trailing blocks")
+    yield pytest.param(2, 0.7, GridSpec(-3.0, 3.0, 0.1), 0.01, id="61 points")
+    # at n_z = 0, no row with a + b > 7.5 holds a cell above the mask floor
+    yield pytest.param(0, 0.0, GridSpec(-3.0, 9.0, 0.02), 0.01, id="rows without cells")
     yield pytest.param(4, -0.4, GridSpec(-6.0, 6.0, 0.02), 0.1, id="fd_step 0.1")
-    yield from peak_table()
-
-
-def peak_table():
-    """Grids whose max|psi| sits on an edge of the Hankel or Toeplitz lines, and a 1-point grid."""
-    # the diagonal cells sit at the nodes of h_2, so the peak is on i - j = +-(N - 1)
+    # the diagonal cells sit at the nodes of h_2, so the peak is on |i - j| = N - 1
     yield pytest.param(2, 0.0, GridSpec(-0.5, 0.5, 1.0), 0.01, id="peak on |i - j| = N - 1")
     # the window lies beside the state: the peak is the corner cell i + j = 0
     yield pytest.param(0, 0.3, GridSpec(2.0, 5.0, 0.1), 0.01, id="peak on i + j = 0")
@@ -139,19 +88,40 @@ def peak_table():
     yield pytest.param(1, 0.7, GridSpec(0.3, 0.5, 1.0), 0.01, id="1-point grid")
 
 
-def peak_of_every_cell(h, g):
-    """Oracle: max |h[i + j] g[i - j + n - 1]| over the whole n x n grid, and its cell."""
-    n = len(g) // 2 + 1
-    magnitude = np.abs(sliding_window_view(h, n) * sliding_window_view(g, n)[:, ::-1])
-    return float(magnitude.max()), np.unravel_index(np.argmax(magnitude), magnitude.shape)
+def rank2_by_cells(state, grid, fd_step):
+    """Oracle: the rank-2 residual of pde_residual on every cell of the grid, with its mask.
 
-
-def stencil_lines(n_z, grid):
-    """H_0 and G_0 of pde_residual: h_{n_z} along i + j and h_0 along i - j."""
+    The same six lines and 1-D errors, combined cell by cell on the whole
+    N x N grid, so the report must match the band and the best-first search
+    to the last bit in the count and the maximum. None where the grid misses
+    the state's support.
+    """
     n = grid.npoints
     sums = 2.0 * grid.min + grid.step * np.arange(2 * n - 1)
-    diffs = grid.step * np.arange(1 - n, n)
-    return hermite_function(n_z, sums / SQRT2), hermite_function(0, diffs / SQRT2)
+    diffs = grid.step * np.arange(n)
+    e_u, e_v = math.exp(state.eta), math.exp(-state.eta)
+    ground, h_origin = OscillatorState(eta=state.eta), hermite_function(0, 0.0)
+
+    def line(which, x, sign):
+        return psi_boosted_lightcone(which, e_u * x / 2.0, sign * e_v * x / 2.0) / h_origin
+
+    shifts = (0.0, 2.0 * fd_step, -2.0 * fd_step)
+    h0, h_plus, h_minus = (line(state, sums + c, 1.0) for c in shifts)
+    g0, g_plus, g_minus = (line(ground, diffs + c, -1.0) for c in shifts)
+    hh = 4.0 * (e_u * fd_step) * (e_v * fd_step)
+    e_a = (sums**2 / 4.0 - state.n_z - 0.5) * h0 - (h_plus + h_minus - 2.0 * h0) / hh
+    e_b = (0.5 - diffs**2 / 4.0) * g0 + (g_plus + g_minus - 2.0 * g0) / hh
+    i, j = np.arange(n)[:, None], np.arange(n)[None, :]
+    s, d = i + j, np.abs(i - j)
+    center = h0[s] * g0[d]
+    residual = h0[s] * e_b[d] + e_a[s] * g0[d]
+    peak = float(np.max(np.abs(center)))
+    if peak == 0.0:
+        return None
+    mask = np.abs(center) > analysis.MASK_FLOOR * peak
+    c, r = center[mask] / peak, residual[mask] / peak
+    rayleigh = state.n_z + np.sum(c * r) / np.sum(c * c)
+    return float(rayleigh), float(np.max(np.abs(residual[mask])) / peak), int(mask.sum())
 
 
 ORACLE_N_Z = (0, 1, 2, 3, 4, 16)
@@ -162,12 +132,13 @@ ORACLE_FD_STEPS = (1e-4, 0.003, 0.01, 0.1)
 
 def oracle_table():
     """Every (n_z, eta, grid) triple; fd_step cycles so that it meets every
-    value of each of the other three parameters."""
+    value of each of the other three parameters. Then verify_table()."""
     for (i, n_z), (j, eta), (k, grid) in itertools.product(
             enumerate(ORACLE_N_Z), enumerate(ORACLE_ETAS), enumerate(ORACLE_GRIDS)):
         fd_step = ORACLE_FD_STEPS[(i + j + k) % len(ORACLE_FD_STEPS)]
-        yield pytest.param(n_z, eta, grid, fd_step,
+        yield pytest.param(n_z, eta, GridSpec(*grid), fd_step,
                            id=f"n_z={n_z} eta={eta} grid={grid} fd_step={fd_step}")
+    yield from verify_table()
 
 
 class TestGridSpec:
@@ -259,21 +230,9 @@ class TestPdeResidual:
         with pytest.raises(ConfigError):
             pde_residual(OscillatorState(), GridSpec(500.0, 600.0, 1.0), 0.01)
 
-    def test_residual_cell_budget_checked_before_evaluation(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("residual grid evaluated")
-
-        monkeypatch.setattr(analysis, "hermite_function", refuse)
-        assert analysis.MAX_RESIDUAL_CELLS == 2501**2
-        with pytest.raises(ConfigError, match="2502\\^2 = 6260004 cells"):
-            pde_residual(OscillatorState(), GridSpec(0.0, 2501.0, 1.0))
-        # the largest grid inside the budget goes on to evaluation
-        with pytest.raises(AssertionError, match="residual grid evaluated"):
-            pde_residual(OscillatorState(), GridSpec(0.0, 2500.0, 1.0))
-
-    @pytest.mark.parametrize("n_z, eta, bounds, fd_step", oracle_table())
-    def test_matches_five_sample_oracle(self, n_z, eta, bounds, fd_step):
-        state, grid = OscillatorState(n_z=n_z, eta=eta), GridSpec(*bounds)
+    @pytest.mark.parametrize("n_z, eta, grid, fd_step", oracle_table())
+    def test_matches_five_sample_oracle(self, n_z, eta, grid, fd_step):
+        state = OscillatorState(n_z=n_z, eta=eta)
         rayleigh, max_residual, masked = residual_by_samples(state, grid, fd_step)
         report = pde_residual(state, grid, fd_step)
         # the stencil divides rounding of psi by 4 fd_step^2
@@ -282,44 +241,37 @@ class TestPdeResidual:
         assert report.max_rel_residual == pytest.approx(max_residual, rel=0.0, abs=tolerance)
         assert report.masked_points == masked
 
-    @pytest.mark.parametrize("n_z, eta, grid, fd_step", blocked_table())
-    def test_blocks_equal_whole_grid(self, n_z, eta, grid, fd_step):
+    @given(n_z=st.integers(0, 10), eta=st.floats(-ETA_MAX, ETA_MAX),
+           fd_step=st.floats(1e-4, 0.1), lo=st.floats(-6.0, 2.0),
+           step=st.floats(0.005, 0.2), npoints=st.integers(1, 250))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_every_cell_of_the_rank2_residual(self, n_z, eta, fd_step, lo, step,
+                                                      npoints):
         state = OscillatorState(n_z=n_z, eta=eta)
-        assert pde_residual(state, grid, fd_step) == residual_whole_grid(state, grid, fd_step)
+        grid = GridSpec(lo, lo + step * (npoints - 0.5), step)
+        expected = rank2_by_cells(state, grid, fd_step)
+        if expected is None:
+            with pytest.raises(ConfigError, match="support"):
+                pde_residual(state, grid, fd_step)
+            return
+        rayleigh, max_residual, masked = expected
+        report = pde_residual(state, grid, fd_step)
+        assert report.masked_points == masked
+        assert report.max_rel_residual == max_residual
+        # at n_z = 0 the quotient itself can be rounding noise near 0
+        assert report.rayleigh_quotient == pytest.approx(rayleigh, rel=1e-12, abs=1e-15)
 
-    def test_block_table_covers_the_edges(self):
-        def rows(grid):
-            n = grid.npoints
-            return [len(range(n)[b]) for b in analysis._row_blocks(n)]
-
-        assert rows(GridSpec(-3.0, 3.0, 0.1)) == [61]
-        for n_z in (3, 16):
-            sizes = rows(verify_grid(n_z))
-            assert len(sizes) > 1 and sizes[-1] < sizes[0]
-        # at n_z = 0, |psi| / peak = exp(-(a^2 + b^2)/2) < MASK_FLOOR for every a > 5.26
-        window = GridSpec(-3.0, 9.0, 0.02)
-        starts = [window.points()[b][0] for b in analysis._row_blocks(window.npoints)]
-        assert sum(a > 5.3 for a in starts) >= 2
-
-    @pytest.mark.parametrize("n_z, eta, grid, fd_step", peak_table())
-    def test_peak_on_the_edges(self, n_z, eta, grid, fd_step):
-        h, g = stencil_lines(n_z, grid)
-        want, (i, j) = peak_of_every_cell(h, g)
-        assert analysis._peak(h, g) == want
-        n = grid.npoints
-        assert n == 1 or abs(i - j) == n - 1 or i + j in (0, 2 * n - 2)
-
-    def test_peak_equals_every_cell_maximum(self):
-        # signs, magnitudes from subnormal to near overflow, every n up to 40
-        rng = np.random.default_rng(7)
-        for n in range(1, 41):
-            for _ in range(5):
-                h = rng.standard_normal(2 * n - 1) * 10.0 ** rng.uniform(-300, 300, 2 * n - 1)
-                g = rng.standard_normal(2 * n - 1)
-                assert analysis._peak(h, g) == peak_of_every_cell(h, g)[0], n
+    @pytest.mark.parametrize("wrong_boost", [squeeze_both_axes, boost_backwards])
+    @pytest.mark.parametrize("eta", [0.7, -2.5])
+    def test_wrong_boost_fails(self, wrong_boost, eta, monkeypatch):
+        # the six lines are read through the boost, so a wrong one shows in the residual
+        state, grid = OscillatorState(n_z=3, eta=eta), verify_grid(3)
+        assert pde_residual(state, grid).max_rel_residual < 1e-3
+        monkeypatch.setattr(analysis, "psi_boosted_lightcone", wrong_boost)
+        assert pde_residual(state, grid).max_rel_residual > 1.0
 
     def test_peak_memory_per_cell(self):
-        state, grid = OscillatorState(n_z=3, eta=0.7), verify_grid(3)
+        state, grid = OscillatorState(n_z=64, eta=0.7), verify_grid(64)
         pde_residual(state, grid)
         tracemalloc.start()
         try:
@@ -327,10 +279,10 @@ class TestPdeResidual:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one buffer of 16 B per cell holds the masked products for the
-        # Rayleigh sums; no N x N temporary may join it
-        assert grid.npoints == 566
-        assert peak < 20 * grid.npoints**2
+        # the residual is read from 1-D lines of at most 2N - 1 points; no
+        # array of N x N cells, nor a buffer that grows with them, may appear
+        assert grid.npoints == 2281
+        assert peak < 2_000_000
 
 
 class TestNorm:

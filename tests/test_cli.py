@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covosc import ETA_MAX, ConfigError, NumericIntegrityError, analysis, cli, rest_of_universe
+from wrong_boosts import squeeze_both_axes
 
 # the requests of tests/test_golden.py with their exit status and output digest
 GOLDEN = json.loads(Path(__file__).with_name("golden_outputs.json").read_text())
@@ -271,6 +272,22 @@ class TestVerifyCommand:
         assert abs(row["rayleigh_quotient"] - n_z) < 1e-3
         assert row["max_residual"] < 1e-3
         assert abs(row["norm"] - 1.0) < 1e-8
+
+    def test_fine_grid(self, tmp_path):
+        # 9429^2 cells: the residual's cost grows with the points per axis
+        code, out = run_cli(["verify", "--step=0.0006", "--format", "json"], tmp_path, "v.json")
+        assert code == 0
+        (row,) = json.loads(out.read_text())["results"]
+        assert row["lambda"] == 0.0
+        assert row["max_residual"] < 1e-3
+
+    @pytest.mark.parametrize("eta", ["0.7", "-2.5"])
+    def test_wrong_boost_exits_2(self, eta, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "psi_boosted_lightcone", squeeze_both_axes)
+        code, out = run_cli(["verify", "--n-z", "3", f"--eta={eta}"], tmp_path, "v.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "deviates from 1 by more than 1e-8" in capsys.readouterr().err
 
 
 class TestGridCommand:
@@ -610,29 +627,20 @@ class TestErrorPaths:
         assert not out.exists()
         assert "1004004 cells" in capsys.readouterr().err
 
-    def test_verify_over_the_cell_budget_exits_1(self, tmp_path, monkeypatch, capsys):
-        def refuse(*args, **kwargs):
-            raise AssertionError("residual grid evaluated")
-
-        monkeypatch.setattr(analysis, "hermite_function", refuse)
-        code, out = run_cli(["verify", "--step=0.0006"], tmp_path, "v.csv")
-        assert code == 1
-        assert not out.exists()
-        assert "9429^2 = 88906041 cells" in capsys.readouterr().err
-
     def test_largest_default_verify_grid_fits_the_budget(self, tmp_path, monkeypatch):
         lines = []
-        evaluate = analysis.hermite_function
+        evaluate = analysis.psi_boosted_lightcone
 
-        def record(n, x):
-            lines.append(np.shape(x))
-            return evaluate(n, x)
+        def record(state, u, v):
+            lines.append(np.broadcast(u, v).shape)
+            return evaluate(state, u, v)
 
-        monkeypatch.setattr(analysis, "hermite_function", record)
+        monkeypatch.setattr(analysis, "psi_boosted_lightcone", record)
         code, out = run_cli(["verify", "--n-z", "64", "--format", "json"], tmp_path, "v.json")
         assert code == 0
-        # the 2281^2 residual grid is read from six lines of 2 * 2281 - 1 points
-        assert lines == [(4561,)] * 6
+        # the 2281^2 residual grid is read from three lines of 2 * 2281 - 1
+        # points and three of 2281, then the norm from one 65-node rule per state
+        assert lines == [(4561,)] * 3 + [(2281,)] * 3 + [(65, 65)] * 2
         (row,) = json.loads(out.read_text())["results"]
         assert row["lambda"] == 64.0
         assert abs(row["norm"] - 1.0) < 1e-8

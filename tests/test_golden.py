@@ -33,7 +33,7 @@ REQUESTS = [
     ["marginal", "--axis", "v", "--eta=-1.2", "--min=-2", "--max=2", "--step=0.25"],
     ["overlap", "--n-z", "2", "--etas=0,0.5,-1,3"],
     ["verify", "--n-z", "2", "--eta=0.5"],
-    # a 1167^2 residual grid, more rows than one block holds and a partial last block
+    # a 1167^2 residual grid, read from lines of 2333 and 1167 points
     ["verify", "--n-z", "16", "--eta=-1.3"],
     ["parton-scan", "--etas=0,0.5,2,-3"],
     ["entropy-scan", "--etas=0,1e-300,0.7,4,-50"],
