@@ -10,12 +10,10 @@ left by tracing out the unobservable time-separation variable.
 from .analysis import (
     FieldGrid,
     GridSpec,
-    PartonScanRow,
     PdeResidualReport,
     marginal,
     norm,
     overlap,
-    parton_scan,
     pde_residual,
     render_grid,
 )
@@ -43,7 +41,6 @@ __all__ = [
     "GridSpec",
     "NumericIntegrityError",
     "OscillatorState",
-    "PartonScanRow",
     "PdeResidualReport",
     "QuadratureRule",
     "Rapidity",
@@ -55,7 +52,6 @@ __all__ = [
     "marginal",
     "norm",
     "overlap",
-    "parton_scan",
     "pde_residual",
     "psi_boosted",
     "psi_boosted_lightcone",

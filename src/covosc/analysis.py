@@ -1,10 +1,10 @@
 """Verification and observables for the boosted oscillator states.
 
 Residual checks of the defining differential equation, quadrature norms and
-overlaps, marginal densities, squeeze widths, and dense grid renderings.
-All quadrature is laid out along the squeezed light-cone axes with per-axis
-scales e^{+-eta}, so node coverage tracks the state's support at any
-rapidity.
+overlaps, marginal densities, dense grid renderings, and the closed forms of
+the frame overlap and the squeeze widths. All quadrature is laid out along
+the squeezed light-cone axes with per-axis scales e^{+-eta}, so node
+coverage tracks the state's support at any rapidity.
 
 Space-time and momentum-energy are one wave function: for every n_z,
 phi(q_z, q_0) = (-i)^{n_z} psi(q_z, q_0). So a momentum grid is psi_boosted
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, NumericIntegrityError
 from .hermite import gauss_hermite, hermite_function
-from .kinematics import SQRT2, rapidity_value
+from .kinematics import SQRT2
 from .oscillator import OscillatorState, psi_boosted, psi_boosted_lightcone
 
 __all__ = [
@@ -30,12 +30,10 @@ __all__ = [
     "FieldGrid",
     "GridSpec",
     "MAX_GRID_CELLS",
-    "PartonScanRow",
     "PdeResidualReport",
     "marginal",
     "norm",
     "overlap",
-    "parton_scan",
     "pde_residual",
     "render_grid",
 ]
@@ -126,28 +124,6 @@ class FieldGrid:
 
 
 @dataclass(frozen=True)
-class PartonScanRow:
-    """Light-cone, spatial, and momentum widths of the ground state at one rapidity.
-
-    aspect is sigma_u / sigma_v; time_dilation is sigma_u(eta) / sigma_u(0).
-    """
-
-    eta: float
-    sigma_u: float
-    sigma_v: float
-    sigma_z: float
-    sigma_qz: float
-    aspect: float
-    time_dilation: float
-
-    def __post_init__(self) -> None:
-        for name in ("sigma_u", "sigma_v", "sigma_z", "sigma_qz", "aspect", "time_dilation"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise NumericIntegrityError(f"{name} must be positive and finite, got {value}")
-
-
-@dataclass(frozen=True)
 class PdeResidualReport:
     """Result of one residual check of the oscillator equation.
 
@@ -204,6 +180,11 @@ def overlap(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_ORDER) 
     the product matches the weight function exactly and the rule is exact
     from exact_order(a.n_z + b.n_z) nodes per axis; more nodes change only
     the rounding. A smaller order is refused with a ConfigError.
+
+    The terms of the sum are O(1), so the result has an absolute floor near
+    1e-18: an overlap below about 1e-16 is rounding noise, and can come out
+    negative. The CLI reports frame_overlap, the closed form; this
+    quadrature of psi is what norm, and so verify, reads.
     """
     if (a.n_x, a.n_y) != (b.n_x, b.n_y):
         raise DomainError("overlap requires equal transverse quantum numbers")
@@ -396,75 +377,27 @@ def render_grid(state: OscillatorState, grid: GridSpec,
     return FieldGrid(specs=(grid, grid), axes=axes, values=values)
 
 
-def _spacetime_moments(eta: float, order: int) -> tuple[float, float, float]:
-    """Second moments (u^2, v^2, z^2) of |psi_eta|^2 for the ground state."""
-    s_u, s_v = math.exp(eta), math.exp(-eta)
-    u, w_u, v, w_v = _lightcone_rule(s_u, s_v, order)
-    ww = (s_u * s_v) * w_u * w_v
-    z = (u + v) / SQRT2
-    density = psi_boosted_lightcone(OscillatorState(eta=eta), u, v) ** 2
-    total = float(np.sum(ww * density))
-    m_u2 = float(np.sum(ww * u * u * density)) / total
-    m_v2 = float(np.sum(ww * v * v * density)) / total
-    m_z2 = float(np.sum(ww * z * z * density)) / total
-    return m_u2, m_v2, m_z2
-
-
 def ground_widths(eta: float) -> dict[str, float]:
     """Closed-form standard deviations of the boosted ground state's |psi|^2, per axis.
 
     sigma_z = sigma_t = sqrt(cosh(2 eta)/2), sigma_u = e^eta/sqrt(2) and
-    sigma_v = e^-eta/sqrt(2). The momentum width sigma_qz equals sigma_z.
+    sigma_v = e^-eta/sqrt(2). The momentum width sigma_qz equals sigma_z, so
+    the product sigma_z sigma_qz = cosh(2 eta)/2 rises without bound: one
+    covariant state serves as both the rest-frame bound state and the
+    free-parton limit. The CLI's parton-scan reports these widths.
     """
     sigma_z = math.sqrt(0.5 * math.cosh(2.0 * eta))
     return {"z": sigma_z, "t": sigma_z, "u": math.exp(eta) / SQRT2, "v": math.exp(-eta) / SQRT2}
 
 
-def _check_scan_row(row: PartonScanRow) -> None:
-    e = row.eta
-    widths = ground_widths(e)
-    targets = {"sigma_u": widths["u"], "sigma_v": widths["v"],
-               "sigma_z": widths["z"], "sigma_qz": widths["z"]}
-    for name, expected in targets.items():
-        got = getattr(row, name)
-        if abs(got - expected) > 1e-8 * expected:
-            raise NumericIntegrityError(
-                f"{name} = {got} at eta = {e} deviates from the closed form {expected}")
+def frame_overlap(a: OscillatorState, b: OscillatorState) -> float:
+    """Closed-form inner product of the (z, t) sectors of two states.
 
-
-def parton_scan(etas, order: int = DEFAULT_ORDER) -> list[PartonScanRow]:
-    """Quadrature widths of the boosted ground state, one row per rapidity.
-
-    sigma_u and sigma_v are the light-cone standard deviations of |psi|^2,
-    sigma_z the longitudinal one, sigma_qz the longitudinal momentum width of
-    |phi|^2. Since phi(q_z, q_0) = (-i)^{n_z} psi(q_z, q_0) for every n_z,
-    |phi|^2 is |psi|^2 in momentum variables, and sigma_qz is read from the
-    same z-moment as sigma_z: one quadrature per rapidity. Every value is
-    cross-checked against its closed form (sigma_u = e^eta/sqrt(2),
-    sigma_v = e^-eta/sqrt(2), sigma_z^2 = sigma_qz^2 = cosh(2 eta)/2). The
-    spatial and momentum widths grow together: their product cosh(2 eta)/2
-    rises without bound, which is how one covariant state serves as both the
-    rest-frame bound state and the free-parton limit. The second moments are
-    polynomials of degree 2 against the rule's Gaussian, exact from
-    exact_order(2) = 2 nodes; a smaller order is refused with a ConfigError.
+    A boost conserves n_z - n_t, and n_t = 0 in every state, so
+    <psi^m_{eta_1}|psi^n_{eta_2}> = delta_mn sech^{n+1}(eta_2 - eta_1).
+    For |eta_2 - eta_1| <= 2 ETA_MAX and n <= 64 the power underflows to 0.0
+    where the value leaves double range and never overflows.
     """
-    etas = [rapidity_value(e) for e in etas]
-    if not etas:
-        raise DomainError("etas must be nonempty")
-    _check_order(order, 2, "the ground state's second moments")
-    sigma_u0 = math.sqrt(_spacetime_moments(0.0, order)[0])
-    rows = []
-    for e in etas:
-        m_u2, m_v2, m_z2 = _spacetime_moments(e, order)
-        row = PartonScanRow(
-            eta=e,
-            sigma_u=math.sqrt(m_u2),
-            sigma_v=math.sqrt(m_v2),
-            sigma_z=math.sqrt(m_z2),
-            sigma_qz=math.sqrt(m_z2),
-            aspect=math.sqrt(m_u2 / m_v2),
-            time_dilation=math.sqrt(m_u2) / sigma_u0,
-        )
-        _check_scan_row(row)
-        rows.append(row)
-    return rows
+    if a.n_z != b.n_z:
+        return 0.0
+    return (1.0 / math.cosh(b.eta - a.eta)) ** (a.n_z + 1)

@@ -11,10 +11,11 @@ _COMMANDS, with the keys it reads; the flags, the resolution of a flag over
 a --config file over the default, and the echo all follow from these two
 tables. A --config key the command does not read is refused.
 
-Quadrature takes no key: each request integrates on the exact Gauss-Hermite
-rule, analysis.exact_order of its polynomial degree, which is n_z + 1 nodes
-per axis for marginal, overlap and the verify norm and 2 for parton-scan's
-ground-state second moments.
+Quadrature takes no key: marginal and the verify norm integrate on the
+exact Gauss-Hermite rule, analysis.exact_order of their polynomial degree,
+which is n_z + 1 nodes per axis. overlap and parton-scan build no rule and
+evaluate no wave function: they report the paper's closed forms,
+sech^{n_z+1} of the rapidity difference and the ground-state widths.
 
 Results are rendered column-wise with the same 15-significant-digit text
 in both formats: each float column is checked for NaN/Inf once, and a grid
@@ -267,11 +268,10 @@ def _cmd_marginal(cfg: RunConfig):
 def _cmd_overlap(cfg: RunConfig):
     etas = _require_etas(cfg)
     reference = OscillatorState(cfg.n_z, 0, 0, etas[0])
-    order = analysis.exact_order(2 * reference.n_z)
     return {
         "eta_ref": [etas[0]] * len(etas),
         "eta": etas,
-        "overlap": [analysis.overlap(OscillatorState(cfg.n_z, 0, 0, eta), reference, order)
+        "overlap": [analysis.frame_overlap(reference, OscillatorState(cfg.n_z, 0, 0, eta))
                     for eta in etas],
     }
 
@@ -296,9 +296,18 @@ def _cmd_verify(cfg: RunConfig):
 
 
 def _cmd_parton_scan(cfg: RunConfig):
-    rows = analysis.parton_scan(_require_etas(cfg), analysis.exact_order(2))
-    names = ("eta", "sigma_u", "sigma_v", "sigma_z", "sigma_qz", "aspect", "time_dilation")
-    return {name: [getattr(r, name) for r in rows] for name in names}
+    etas = [kinematics.rapidity_value(e) for e in _require_etas(cfg)]
+    widths = [analysis.ground_widths(e) for e in etas]
+    return {
+        "eta": etas,
+        "sigma_u": [w["u"] for w in widths],
+        "sigma_v": [w["v"] for w in widths],
+        "sigma_z": [w["z"] for w in widths],
+        "sigma_qz": [w["z"] for w in widths],
+        # sigma_u / sigma_v and sigma_u(eta) / sigma_u(0)
+        "aspect": [math.exp(2.0 * e) for e in etas],
+        "time_dilation": [math.exp(e) for e in etas],
+    }
 
 
 def _cmd_entropy_scan(cfg: RunConfig):

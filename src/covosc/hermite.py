@@ -29,6 +29,8 @@ ORDER_MAX = 256
 _SQRT_PI = math.sqrt(math.pi)
 _PI_QUARTER = math.pi ** 0.25
 _SQRT2 = math.sqrt(2.0)
+# below this |x|, exp(-x^2/2) is a normal double with room to spare
+_TAIL = 37.0
 
 
 def _check_degree(n) -> int:
@@ -59,15 +61,29 @@ def hermite_function(n: int, x):
     range for every degree this module allows (|h_n| <= 1 everywhere, while
     H_n multiplied by its normalization overflows already near n ~ 20 for
     large arguments).
+
+    That start is subnormal from |x| ~ 37.6 and zero from ~ 38.6, while h_n
+    for n >= 1 is a normal double further out (h_64(40) ~ 5.9e-281). So for
+    n >= 1 and |x| > _TAIL the recurrence starts from pi^{-1/4} exp(-x^2/4)
+    and its result is multiplied by the other exp(-x^2/4); nothing overflows
+    for n <= DEGREE_MAX. Points at |x| <= _TAIL take the plain recurrence,
+    bit for bit, whatever else the array holds.
     """
     n = _check_degree(n)
     xs = np.asarray(x, dtype=float)
     prev = np.exp(-0.5 * xs * xs) / _PI_QUARTER
     if n == 0:
         return _like(prev, x)
+    tail = np.abs(xs) > _TAIL
+    split = tail.any()
+    if split:
+        half = np.exp(-0.25 * xs * xs)
+        prev = np.where(tail, half / _PI_QUARTER, prev)
     cur = _SQRT2 * xs * prev
     for k in range(1, n):
         cur, prev = math.sqrt(2.0 / (k + 1)) * xs * cur - math.sqrt(k / (k + 1)) * prev, cur
+    if split:
+        cur = np.where(tail, cur * half, cur)
     return _like(cur, x)
 
 

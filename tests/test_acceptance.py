@@ -4,10 +4,11 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line
 per criterion.
 """
 
+import io
 import json
 import math
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from covosc import (
     entropy,
     norm,
     overlap,
-    parton_scan,
     pde_residual,
     psi_boosted,
     psi_full,
@@ -106,13 +106,17 @@ def test_criterion_4_frame_overlap():
 def test_criterion_5_parton_widths():
     with criterion(5, "parton widths: aspect e^{2 eta}, sigma_z = sigma_qz, growing product"):
         started = time.perf_counter()
-        rows = parton_scan([0.0, 1.0, 2.0, 4.0], 64)
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main(["parton-scan", "--etas", "0,1,2,4", "--format", "json"]) == 0
+        rows = json.loads(out.getvalue())["results"]
         for row in rows:
-            e = row.eta
-            assert abs(row.sigma_u / row.sigma_v - math.exp(2 * e)) <= 1e-9 * math.exp(2 * e)
-            assert abs(row.sigma_z**2 - 0.5 * math.cosh(2 * e)) < 1e-8
-            assert abs(row.sigma_qz**2 - 0.5 * math.cosh(2 * e)) < 1e-8
-        products = [r.sigma_z * r.sigma_qz for r in rows]
+            e = row["eta"]
+            assert abs(row["sigma_u"] / row["sigma_v"] - math.exp(2 * e)) <= 1e-9 * math.exp(2 * e)
+            assert abs(row["aspect"] - math.exp(2 * e)) <= 1e-9 * math.exp(2 * e)
+            assert abs(row["sigma_z"]**2 - 0.5 * math.cosh(2 * e)) < 1e-8
+            assert abs(row["sigma_qz"]**2 - 0.5 * math.cosh(2 * e)) < 1e-8
+        products = [r["sigma_z"] * r["sigma_qz"] for r in rows]
         assert all(a < b for a, b in zip(products, products[1:]))
         assert time.perf_counter() - started < 2.0
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from covosc import analysis
+from covosc import analysis, cli
 from covosc import (
     ETA_MAX,
     ConfigError,
@@ -20,12 +20,11 @@ from covosc import (
     marginal,
     norm,
     overlap,
-    parton_scan,
     pde_residual,
     psi_boosted,
     render_grid,
 )
-from covosc.hermite import hermite_function
+from covosc.hermite import gauss_hermite, hermite_function
 from covosc.oscillator import psi_boosted_lightcone
 from wrong_boosts import boost_backwards, squeeze_both_axes
 
@@ -338,6 +337,14 @@ class TestOverlap:
             got = overlap(OscillatorState(n_z=1, eta=eta), OscillatorState(eta=eta), 64)
             assert got == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("m, n", [(1, 0), (2, 4), (3, 5), (0, 6)])
+    def test_selection_rule(self, m, n):
+        # a boost conserves n_z - n_t: different n_z never overlap, in any two frames
+        for eta_a, eta_b in ((0.0, 0.8), (-1.3, 0.4)):
+            a, b = OscillatorState(n_z=m, eta=eta_a), OscillatorState(n_z=n, eta=eta_b)
+            assert overlap(a, b, 64) == pytest.approx(0.0, abs=1e-13)
+            assert analysis.frame_overlap(a, b) == 0.0
+
     def test_depends_only_on_rapidity_difference(self):
         values = [
             overlap(OscillatorState(eta=1.2 + delta), OscillatorState(eta=delta), 64)
@@ -369,8 +376,9 @@ class TestOverlap:
            st.floats(-1.5, 1.5))
     @settings(max_examples=60, deadline=None)
     def test_exact_order_and_64_nodes_meet_the_closed_form(self, n_z, eta, delta):
+        # the quadrature of psi is the reference for the closed form the CLI reports
         a, b = OscillatorState(n_z=n_z, eta=eta + delta), OscillatorState(n_z=n_z, eta=eta)
-        want = math.cosh(a.eta - b.eta) ** -(n_z + 1)
+        want = analysis.frame_overlap(b, a)
         for order in (analysis.exact_order(2 * n_z), 64):
             assert overlap(a, b, order) == pytest.approx(want, rel=0.0, abs=5e-14), order
 
@@ -446,9 +454,34 @@ class TestMarginal:
                                    rtol=0.0, atol=1e-13)
 
 
+def scan(etas):
+    """The parton-scan CLI's rows, one dict of columns per rapidity."""
+    text = cli.run(cli.RunConfig("parton-scan", etas=tuple(etas)))
+    header, *rows = [line for line in text.splitlines() if not line.startswith("#")]
+    return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+
+
 def momentum_variance(eta):
-    """sigma_qz^2 of the boosted ground state, as parton_scan reports it."""
-    return parton_scan([eta])[0].sigma_qz ** 2
+    """sigma_qz^2 of the boosted ground state, as parton-scan reports it."""
+    return scan([eta])[0]["sigma_qz"] ** 2
+
+
+def quadrature_widths(eta, order):
+    """Oracle: standard deviations of the ground state's |psi|^2 along u, v and z.
+
+    Second moments of psi_boosted_lightcone on a light-cone Gauss-Hermite
+    product rule scaled by e^{+-eta}. With two nodes every node has
+    u^2 = e^{2 eta}/2 and v^2 = e^{-2 eta}/2, so the moments come out right
+    for any density; from three nodes on they depend on psi.
+    """
+    rule = gauss_hermite(order)
+    s_u, s_v = math.exp(eta), math.exp(-eta)
+    u, v = s_u * rule.nodes[:, None], s_v * rule.nodes[None, :]
+    weights = rule.exp_weights[:, None] * rule.exp_weights[None, :]
+    density = weights * analysis.psi_boosted_lightcone(OscillatorState(eta=eta), u, v) ** 2
+    total = np.sum(density)
+    moments = {"u": u * u, "v": v * v, "z": (u + v) ** 2 / 2.0}
+    return {axis: math.sqrt(np.sum(density * m) / total) for axis, m in moments.items()}
 
 
 class TestMomentumVariance:
@@ -463,56 +496,72 @@ class TestMomentumVariance:
         assert momentum_variance(3.0) > momentum_variance(2.0) > momentum_variance(0.5)
 
 
+WIDTH_ETAS = [0.0, 0.7, -0.7, 3.0, -3.0, 20.0, -20.0, 50.0, -50.0]
+
+
 class TestPartonScan:
     def test_rest_row(self):
-        row = parton_scan([0.0])[0]
-        assert row.sigma_u == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-        assert row.sigma_v == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
-        assert row.aspect == pytest.approx(1.0, rel=1e-12)
-        assert row.time_dilation == pytest.approx(1.0, rel=1e-12)
+        row = scan([0.0])[0]
+        assert row["sigma_u"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert row["sigma_v"] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-12)
+        assert row["aspect"] == pytest.approx(1.0, rel=1e-12)
+        assert row["time_dilation"] == pytest.approx(1.0, rel=1e-12)
 
     def test_ln2_row(self):
-        row = parton_scan([LN2])[0]
-        assert row.sigma_u == pytest.approx(math.sqrt(2.0), rel=1e-10)
-        assert row.sigma_v == pytest.approx(0.35355339059327373, rel=1e-10)
-        assert row.aspect == pytest.approx(4.0, rel=1e-9)
-        assert row.time_dilation == pytest.approx(2.0, rel=1e-9)
+        row = scan([LN2])[0]
+        assert row["sigma_u"] == pytest.approx(math.sqrt(2.0), rel=1e-10)
+        assert row["sigma_v"] == pytest.approx(0.35355339059327373, rel=1e-10)
+        assert row["aspect"] == pytest.approx(4.0, rel=1e-9)
+        assert row["time_dilation"] == pytest.approx(2.0, rel=1e-9)
 
     def test_closed_forms_across_etas(self):
-        for row in parton_scan([0.0, 0.5, 1.0, 2.0, 4.0]):
-            e = row.eta
-            assert row.sigma_u == pytest.approx(math.exp(e) / math.sqrt(2.0), rel=1e-9)
-            assert row.sigma_v == pytest.approx(math.exp(-e) / math.sqrt(2.0), rel=1e-9)
-            assert row.sigma_z**2 == pytest.approx(0.5 * math.cosh(2 * e), rel=1e-9)
-            assert row.sigma_qz**2 == pytest.approx(0.5 * math.cosh(2 * e), rel=1e-9)
-            assert row.aspect == pytest.approx(math.exp(2 * e), rel=1e-9)
+        for row in scan([0.0, 0.5, 1.0, 2.0, 4.0]):
+            e = row["eta"]
+            assert row["sigma_u"] == pytest.approx(math.exp(e) / math.sqrt(2.0), rel=1e-9)
+            assert row["sigma_v"] == pytest.approx(math.exp(-e) / math.sqrt(2.0), rel=1e-9)
+            assert row["sigma_z"]**2 == pytest.approx(0.5 * math.cosh(2 * e), rel=1e-9)
+            assert row["sigma_qz"]**2 == pytest.approx(0.5 * math.cosh(2 * e), rel=1e-9)
+            assert row["aspect"] == pytest.approx(math.exp(2 * e), rel=1e-9)
 
     def test_uncertainty_product_grows(self):
-        rows = parton_scan([0.0, 1.0, 2.0])
-        products = [r.sigma_z * r.sigma_qz for r in rows]
+        rows = scan([0.0, 1.0, 2.0])
+        products = [r["sigma_z"] * r["sigma_qz"] for r in rows]
         assert products[0] == pytest.approx(0.5, rel=1e-9)
         assert products[0] < products[1] < products[2]
 
     def test_spatial_and_momentum_widths_grow_together(self):
-        rows = parton_scan([0.0, 1.0, 3.0])
-        assert rows[0].sigma_z < rows[1].sigma_z < rows[2].sigma_z
-        assert rows[0].sigma_qz < rows[1].sigma_qz < rows[2].sigma_qz
+        rows = scan([0.0, 1.0, 3.0])
+        assert rows[0]["sigma_z"] < rows[1]["sigma_z"] < rows[2]["sigma_z"]
+        assert rows[0]["sigma_qz"] < rows[1]["sigma_qz"] < rows[2]["sigma_qz"]
 
     def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            parton_scan([])
+        with pytest.raises(ConfigError, match="requires --etas"):
+            cli.run(cli.RunConfig("parton-scan", etas=()))
 
-    def test_one_node_rule_refused(self):
-        # the one node sits at the origin, where every second moment is 0
-        with pytest.raises(ConfigError, match="quadrature order 1 is below 2"):
-            parton_scan([0.0, 0.5], order=1)
+    @pytest.mark.parametrize("eta", WIDTH_ETAS)
+    def test_widths_match_the_quadrature_of_psi(self, eta):
+        widths, row = analysis.ground_widths(eta), scan([eta])[0]
+        for axis, sigma in quadrature_widths(eta, 3).items():
+            assert widths[axis] == pytest.approx(sigma, rel=1e-14, abs=0.0), axis
+            # the CLI writes 15 significant digits
+            assert row["sigma_" + axis] == pytest.approx(sigma, rel=1e-14, abs=0.0), axis
 
-    @given(st.lists(st.floats(-ETA_MAX, ETA_MAX), min_size=1, max_size=4))
+    @pytest.mark.parametrize("wrong_boost", [squeeze_both_axes, boost_backwards])
+    @pytest.mark.parametrize("eta", [e for e in WIDTH_ETAS if e])
+    def test_quadrature_widths_miss_under_a_wrong_boost(self, wrong_boost, eta, monkeypatch):
+        widths = analysis.ground_widths(eta)
+        monkeypatch.setattr(analysis, "psi_boosted_lightcone", wrong_boost)
+        missed = {axis: abs(sigma / widths[axis] - 1.0)
+                  for axis, sigma in quadrature_widths(eta, 3).items()}
+        assert max(missed.values()) > 0.1, missed
+
+    @given(st.floats(-ETA_MAX, ETA_MAX))
     @settings(max_examples=60, deadline=None)
-    def test_exact_order_matches_64_nodes(self, etas):
-        for exact, dense in zip(parton_scan(etas, analysis.exact_order(2)), parton_scan(etas, 64)):
-            for name in ("sigma_u", "sigma_v", "sigma_z", "sigma_qz", "aspect", "time_dilation"):
-                assert getattr(exact, name) == pytest.approx(getattr(dense, name), rel=1e-13)
+    def test_exact_order_matches_64_nodes(self, eta):
+        widths = analysis.ground_widths(eta)
+        for order in (3, 64):
+            for axis, sigma in quadrature_widths(eta, order).items():
+                assert widths[axis] == pytest.approx(sigma, rel=1e-13, abs=0.0), (order, axis)
 
 
 class TestRenderGrid:
@@ -603,7 +652,7 @@ class TestRenderGrid:
 
 class TestWidthDuality:
     def test_marginal_variance_equals_momentum_variance(self):
-        # the trapezoid z-marginal variance against parton_scan's sigma_qz^2
+        # the trapezoid z-marginal variance against parton-scan's sigma_qz^2
         for eta in (0.0, 0.5, 1.0, 2.0):
             sigma = math.sqrt(0.5 * math.cosh(2 * eta))
             spec = GridSpec.symmetric(9.0 * sigma, 1201)
@@ -612,5 +661,5 @@ class TestWidthDuality:
             assert spatial == pytest.approx(momentum_variance(eta), abs=1e-8 * math.cosh(2 * eta))
 
     def test_parton_limit_concentration(self):
-        row = parton_scan([5.0])[0]
-        assert row.sigma_v / row.sigma_u < 1e-4
+        row = scan([5.0])[0]
+        assert row["sigma_v"] / row["sigma_u"] < 1e-4

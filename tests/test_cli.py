@@ -9,7 +9,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import mpmath
@@ -155,10 +154,12 @@ class TestPartonScanCommand:
         code, out = run_cli(["parton-scan", "--etas", "0,1"], tmp_path, "scan.csv")
         assert code == 0
         _, _, rows = parse_csv(out)
-        lib = analysis.parton_scan([0.0, 1.0])
-        for row, want in zip(rows, lib):
-            assert row[1] == pytest.approx(want.sigma_u, rel=1e-14)
-            assert row[5] == pytest.approx(want.aspect, rel=1e-14)
+        for row, eta in zip(rows, (0.0, 1.0)):
+            widths = analysis.ground_widths(eta)
+            assert row[1:5] == pytest.approx(
+                [widths["u"], widths["v"], widths["z"], widths["z"]], rel=1e-14, abs=0.0)
+            assert row[5] == pytest.approx(math.exp(2.0 * eta), rel=1e-14)
+            assert row[6] == pytest.approx(math.exp(eta), rel=1e-14)
 
     def test_byte_identical_reruns(self, tmp_path):
         args = ["parton-scan", "--etas", "0,0.5,1,2,4", "--format", "json"]
@@ -193,7 +194,77 @@ class TestPartonScanCommand:
         assert "etas" in capsys.readouterr().err
 
 
-# the commands that integrate, with what each needs besides the state
+def overlap_column(n_z, etas):
+    """The overlap column of one in-process CLI request, as written."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["overlap", "--n-z", str(n_z), "--etas=" + ",".join(map(repr, etas))])
+    assert code == 0
+    lines = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
+    assert lines[0] == "eta_ref,eta,overlap"
+    return [line.rsplit(",", 1)[1] for line in lines[1:]]
+
+
+def sech_power(n_z, eta_ref, eta):
+    """Oracle: sech^{n_z + 1}(eta - eta_ref) in mpmath, from the exact doubles."""
+    with mpmath.workdps(50):
+        return float(mpmath.sech(mpmath.mpf(eta) - mpmath.mpf(eta_ref)) ** (n_z + 1))
+
+
+def assert_close_or_tiny(got, want, rtol):
+    """Relative agreement where want is a normal double, absolute TINY below that."""
+    assert abs(got - want) <= rtol * abs(want) + (TINY if abs(want) < TINY else 0.0), (got, want)
+
+
+RAPIDITY = st.floats(-ETA_MAX, ETA_MAX)
+# anywhere in the domain, where most overlaps underflow, or within a few units
+# of the reference frame, where they are normal doubles
+RAPIDITY_LISTS = st.one_of(
+    st.lists(RAPIDITY, min_size=1, max_size=4),
+    st.builds(lambda ref, offsets: [ref] + [min(max(ref + d, -ETA_MAX), ETA_MAX) for d in offsets],
+              RAPIDITY, st.lists(st.floats(-4.0, 4.0), max_size=3)),
+)
+
+
+class TestOverlapCommand:
+    @given(st.integers(0, 64), RAPIDITY_LISTS)
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_over_the_domain(self, n_z, etas):
+        for got, eta in zip(overlap_column(n_z, etas), etas):
+            assert_close_or_tiny(float(got), sech_power(n_z, etas[0], eta), 1e-13)
+
+    @given(st.integers(0, 64), RAPIDITY_LISTS, st.floats(0.0, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_depends_only_on_rapidity_differences(self, n_z, etas, where):
+        lo, hi = -ETA_MAX - min(etas), ETA_MAX - max(etas)
+        delta = lo + where * (hi - lo)
+        shifted = [min(max(e + delta, -ETA_MAX), ETA_MAX) for e in etas]
+        for a, b in zip(overlap_column(n_z, etas), overlap_column(n_z, shifted)):
+            assert_close_or_tiny(float(b), float(a), 1e-11)
+
+    @pytest.mark.parametrize("n_z, etas", [
+        # the quadrature printed 2.57e-25 and 0.0 here, 1.08e-18 at n_z = 20 and
+        # -4.1e-18 at n_z = 64: its absolute floor is near 1e-18
+        (2, [0.0, 20.0, 50.0]),
+        (20, [0.0, 3.0]),
+        (20, [-40.0, -37.0]),
+        (20, [47.0, 50.0]),
+        (64, [0.0, 1.5]),
+        (64, [-25.0, -23.5]),
+    ])
+    def test_far_below_the_quadrature_floor(self, n_z, etas):
+        for got, eta in zip(overlap_column(n_z, etas), etas):
+            want = sech_power(n_z, etas[0], eta)
+            assert float(got) > 0.0
+            assert float(got) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+    def test_written_digits(self):
+        assert overlap_column(2, [0.0, 20.0, 50.0]) == [
+            "1.0", "7.00520861015722e-26", "5.74007677853153e-65"]
+
+
+# the commands that read --order before it was deleted, with what each needs
+# besides the state
 QUADRATURE_REQUESTS = {
     "marginal": ["--axis", "t", "--eta=0.4"],
     "overlap": ["--etas=0,0.5,-1"],
@@ -203,14 +274,15 @@ QUADRATURE_REQUESTS = {
 
 
 def exact_rule_table():
-    """CLI requests with the one rule order each must build."""
+    """CLI requests with the one rule order each must build, None for no rule."""
     for command, n_zs in (("marginal", (0, 3)), ("overlap", (0, 2, 64)),
                           ("verify", (0, 3, 16, 64))):
         for n_z in n_zs:
             argv = [command, "--n-z", str(n_z), *QUADRATURE_REQUESTS[command]]
-            yield pytest.param(argv, n_z + 1, id=" ".join(argv))
+            yield pytest.param(argv, None if command == "overlap" else n_z + 1,
+                               id=" ".join(argv))
     argv = ["parton-scan", *QUADRATURE_REQUESTS["parton-scan"]]
-    yield pytest.param(argv, 2, id=" ".join(argv))
+    yield pytest.param(argv, None, id=" ".join(argv))
 
 
 class TestExactRule:
@@ -223,8 +295,9 @@ class TestExactRule:
 
     @pytest.mark.parametrize("argv, order", exact_rule_table())
     def test_requests_build_only_the_exact_rule(self, argv, order, tmp_path, monkeypatch):
-        # n_z + 1 nodes are exact for the degree-2 n_z products, 2 for the
-        # ground state's second moments; 64 nodes were one short at n_z = 64
+        # n_z + 1 nodes are exact for the degree-2 n_z products; 64 nodes were
+        # one short at n_z = 64. overlap and parton-scan are closed forms: no
+        # rule, no wave function
         built = []
         build = analysis.gauss_hermite
 
@@ -232,10 +305,19 @@ class TestExactRule:
             built.append(order)
             return build(order)
 
+        def refuse(*args):
+            raise AssertionError("psi evaluated")
+
         monkeypatch.setattr(analysis, "gauss_hermite", record)
+        if order is None:
+            monkeypatch.setattr(analysis, "psi_boosted_lightcone", refuse)
+            monkeypatch.setattr(analysis, "psi_boosted", refuse)
         code, _ = run_cli(argv, tmp_path)
         assert code == 0
-        assert built and set(built) == {order}
+        if order is None:
+            assert built == []
+        else:
+            assert built and set(built) == {order}
 
 
 class TestVerifyCommand:
@@ -609,10 +691,8 @@ class TestErrorPaths:
         assert code == 1
 
     def test_numeric_integrity_exit_code(self, tmp_path, monkeypatch, capsys):
-        bad_row = SimpleNamespace(
-            eta=0.0, sigma_u=float("nan"), sigma_v=1.0, sigma_z=1.0,
-            sigma_qz=1.0, aspect=1.0, time_dilation=1.0)
-        monkeypatch.setattr(cli.analysis, "parton_scan", lambda etas, order: [bad_row])
+        monkeypatch.setattr(cli.analysis, "ground_widths",
+                            lambda eta: {"z": 1.0, "t": 1.0, "u": float("nan"), "v": 1.0})
         code, _ = run_cli(["parton-scan", "--etas", "0"], tmp_path, "scan.csv")
         assert code == 2
         assert "numeric integrity" in capsys.readouterr().err

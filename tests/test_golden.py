@@ -40,6 +40,8 @@ REQUESTS = [
     ["grid", "--eta=60"],
     # most cells are exact zeros (some -0.0); some are subnormal or normal below 1e-280
     ["grid", "--eta=1.9", "--n-z", "3", "--min=-20", "--max=20", "--step=0.25"],
+    # |z| > 37 is the far tail of h_64, where e^{-z^2/2} alone is subnormal or zero
+    ["grid", "--n-z", "64", "--min=-40", "--max=40", "--step=0.5"],
 ]
 
 CASES = [[*argv, "--format", fmt] for argv in REQUESTS for fmt in ("csv", "json")]

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -125,6 +126,45 @@ class TestHermiteFunction:
         value = hermite_function(64, 12.0)
         assert math.isfinite(value)
         assert abs(value) < 1.0
+
+    def test_far_tail_against_mpmath(self):
+        """h_n for n <= 64, |x| <= 60 against mpmath at 40 digits.
+
+        Beyond the last root, |x| > sqrt(2n + 1), h_n has no zeros and is
+        compared relatively wherever the true value is a normal double (down
+        to h_64(40) ~ 5.9e-281, where exp(-x^2/2) alone underflows);
+        between the roots it is compared absolutely, since |h_n| <= 1 there.
+        """
+        tiny = 2.2250738585072014e-308
+        xs = np.concatenate([np.arange(0.0, 60.5, 0.75),
+                             [36.9, 37.0, 37.3, 37.7, 38.2, 38.5, 39.0, 39.7, 40.0, 41.3]])
+        with mpmath.workdps(40):
+            for n in range(65):
+                got = hermite_function(n, xs)
+                # parity, bit for bit
+                np.testing.assert_array_equal(hermite_function(n, -xs), (-1) ** n * got)
+                scale = mpmath.sqrt(2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+                for x, value in zip(xs.tolist(), got.tolist()):
+                    x_mp = mpmath.mpf(x)
+                    want = float(mpmath.hermite(n, x_mp) * mpmath.exp(-x_mp**2 / 2) / scale)
+                    if x * x <= 2 * n + 1:
+                        assert abs(value - want) <= 1e-13, (n, x, value, want)
+                    elif abs(want) >= tiny:
+                        assert abs(value - want) <= 1e-12 * abs(want), (n, x, value, want)
+                    else:
+                        assert abs(value) < tiny, (n, x, value, want)
+
+    def test_tail_split_leaves_the_core_bit_identical(self):
+        # the old recurrence from exp(-x^2/2), at every |x| <= 37
+        x = np.linspace(-37.0, 37.0, 2001)
+        for n in (1, 2, 17, 64):
+            prev = np.exp(-0.5 * x * x) / math.pi ** 0.25
+            cur = math.sqrt(2.0) * x * prev
+            for k in range(1, n):
+                cur, prev = math.sqrt(2.0 / (k + 1)) * x * cur - math.sqrt(k / (k + 1)) * prev, cur
+            np.testing.assert_array_equal(hermite_function(n, x), cur)
+            mixed = np.concatenate([x, [39.0, -45.0]])
+            np.testing.assert_array_equal(hermite_function(n, mixed)[:x.size], cur)
 
 
 class TestGaussHermite:
