@@ -26,7 +26,7 @@ from .errors import (
 )
 from .hermite import QuadratureRule, gauss_hermite, hermite_function
 from .kinematics import ETA_MAX, Rapidity, beta_from_rapidity, rapidity_value
-from .oscillator import OscillatorState, psi_boosted, psi_boosted_lightcone, psi_full
+from .oscillator import OscillatorState, psi_boosted, psi_boosted_lightcone
 from .rest_of_universe import ReducedDensity, entropy, purity, reduce, thermal_row
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "pde_residual",
     "psi_boosted",
     "psi_boosted_lightcone",
-    "psi_full",
     "purity",
     "rapidity_value",
     "reduce",

@@ -25,7 +25,6 @@ from .kinematics import SQRT2
 from .oscillator import OscillatorState, psi_boosted, psi_boosted_lightcone
 
 __all__ = [
-    "DEFAULT_FD_STEP",
     "DEFAULT_ORDER",
     "FieldGrid",
     "GridSpec",
@@ -48,7 +47,9 @@ MAX_GRID_CELLS = 1001**2
 # block's temporaries stay in cache
 _BLOCK_CELLS = 8192
 DEFAULT_ORDER = 64
-DEFAULT_FD_STEP = 0.01
+# the step h of pde_residual's fourth-order cross stencil, whose samples lie
+# at +-h and +-2h along each squeezed axis
+FD_STEP = 1e-3
 
 # residuals are ignored where |psi| falls below this times max|psi|, to keep
 # Gaussian tails from dividing noise by noise
@@ -173,7 +174,7 @@ def _check_order(order: int, degree: int, what: str) -> None:
 
 
 def overlap(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_ORDER) -> float:
-    """Inner product of the (z, t) sectors of two states, by 2-D quadrature.
+    """Inner product of two states, by 2-D quadrature.
 
     The Gauss-Hermite rule is applied in light-cone coordinates with per-axis
     scales built from both states' squeeze factors, so the Gaussian decay of
@@ -186,8 +187,6 @@ def overlap(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_ORDER) 
     negative. The CLI reports frame_overlap, the closed form; this
     quadrature of psi is what norm, and so verify, reads.
     """
-    if (a.n_x, a.n_y) != (b.n_x, b.n_y):
-        raise DomainError("overlap requires equal transverse quantum numbers")
     _check_order(order, a.n_z + b.n_z, f"n_z = {a.n_z} and {b.n_z}")
     s_u = math.sqrt(2.0 / (math.exp(-2.0 * a.eta) + math.exp(-2.0 * b.eta)))
     s_v = math.sqrt(2.0 / (math.exp(2.0 * a.eta) + math.exp(2.0 * b.eta)))
@@ -203,14 +202,20 @@ def norm(state: OscillatorState, order: int = DEFAULT_ORDER) -> float:
 
 def marginal(state: OscillatorState, axis: str, grid: GridSpec,
              order: int = DEFAULT_ORDER) -> FieldGrid:
-    """Probability density of one coordinate of the boosted (z, t) distribution.
+    """Probability density of one coordinate of the boosted distribution |psi|^2.
 
-    Integrates |psi|^2 over the complementary coordinate with a shifted,
-    scaled Gauss-Hermite rule; the shift follows the ridge of the squeezed
-    Gaussian (t_center = z tanh(2 eta) and its mirror), which makes the rule
-    exact for these Hermite-Gaussian densities from exact_order(2 n_z) =
-    n_z + 1 nodes. A smaller order is refused with a ConfigError. Valid
-    axes: z, t, u, v.
+    |psi|^2 is a polynomial of degree 2 n_z times exp(-(e^{-2 eta} u^2 +
+    e^{2 eta} v^2)) in the light-cone coordinates, so every axis integrates
+    psi_boosted_lightcone over one of them with a scaled, shifted
+    Gauss-Hermite rule, exact from exact_order(2 n_z) = n_z + 1 nodes. A
+    smaller order is refused with a ConfigError. Valid axes: z, t, u, v.
+
+    The u and v densities integrate over the other light-cone coordinate.
+    The z and t densities at c = (u +- v)/sqrt(2) integrate over the narrow
+    one, n (v for eta >= 0, u below), with the wide one at sqrt(2) c - n
+    (up to the sign of v for t), Jacobian sqrt(2). In n the Gaussian is
+    centred at sqrt(2) c e^{-2|eta|} / (2 cosh 2 eta) with scale
+    1/sqrt(2 cosh 2 eta), so the nodes stay on the state at every rapidity.
     """
     if axis not in MARGINAL_AXES:
         raise DomainError(f"axis must be one of {MARGINAL_AXES}, got {axis!r}")
@@ -219,16 +224,18 @@ def marginal(state: OscillatorState, axis: str, grid: GridSpec,
     kept = grid.points()[:, None]
     eta = state.eta
     if axis in ("z", "t"):
-        scale = 1.0 / math.sqrt(math.cosh(2.0 * eta))
-        other = math.tanh(2.0 * eta) * kept + scale * x[None, :]
-        zz, tt = (kept, other) if axis == "z" else (other, kept)
-        density = scale * np.sum(w[None, :] * psi_boosted(state, zz, tt) ** 2, axis=1)
+        scale = 1.0 / math.sqrt(2.0 * math.cosh(2.0 * eta))
+        narrow = (SQRT2 * math.exp(-2.0 * abs(eta)) * scale**2) * kept + scale * x[None, :]
+        wide = SQRT2 * kept - narrow
+        uu, vv = (wide, narrow) if eta >= 0.0 else (narrow, wide)
+        if axis == "t":
+            vv = -vv
+        scale *= SQRT2
     else:
         scale = math.exp(-eta) if axis == "u" else math.exp(eta)
         other = scale * x[None, :]
         uu, vv = (kept, other) if axis == "u" else (other, kept)
-        density = scale * np.sum(
-            w[None, :] * psi_boosted_lightcone(state, uu, vv) ** 2, axis=1)
+    density = scale * np.sum(w[None, :] * psi_boosted_lightcone(state, uu, vv) ** 2, axis=1)
     return FieldGrid(specs=(grid,), axes=(axis,), values=density)
 
 
@@ -246,8 +253,7 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, n, rows)]
 
 
-def pde_residual(state: OscillatorState, grid: GridSpec,
-                 fd_step: float = DEFAULT_FD_STEP) -> PdeResidualReport:
+def pde_residual(state: OscillatorState, grid: GridSpec) -> PdeResidualReport:
     """Residual of the longitudinal oscillator equation on a squeeze-adapted grid.
 
     The operator is half the difference of the z and t oscillator forms,
@@ -258,9 +264,11 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     contributes its zero point against the longitudinal one, which is the
     no-time-like-excitation rule made explicit. In light-cone coordinates
     D = u v - d^2/(du dv), and that form is unchanged by the reciprocal axis
-    scaling of a boost, so the grid and the second-order cross stencil are
-    laid out along the squeezed axes: grid coordinate (a, b) sits at
-    u = e^{eta} a, v = e^{-eta} b with stencil steps scaled the same way.
+    scaling of a boost, so the grid and the cross stencil are laid out along
+    the squeezed axes: grid coordinate (a, b) sits at u = e^{eta} a,
+    v = e^{-eta} b with stencil steps scaled the same way. The stencil is
+    the Richardson combination (4 C_h - C_2h) / 3 of the four-corner cross
+    differences at h = FD_STEP and 2h, fourth order in h.
 
     There the state is h_{n_z}(sigma/sqrt(2)) h_0(delta/sqrt(2)) with
     sigma = a + b and delta = a - b, and with a = min + step i,
@@ -270,13 +278,15 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     (s, d) is the rank-2 sum of two 1-D truncation errors,
 
         r[s, d] = H_0[s] e_b[|d|] + e_a[s] G_0[|d|],
-        e_a = (sigma^2/4 - n_z - 1/2) H_0 - (H_+ + H_- - 2 H_0) / (4 h_u h_v),
-        e_b = (1/2 - delta^2/4) G_0 + (G_+ + G_- - 2 G_0) / (4 h_u h_v).
+        e_a = (sigma^2/4 - n_z - 1/2) H_0 - H'' / (4 h_u h_v),
+        e_b = (1/2 - delta^2/4) G_0 + G'' / (4 h_u h_v),
+        H'' = (16 (H_+ + H_-) - (H_++ + H_--) - 30 H_0) / 12, and G'' alike.
 
     H_c is the state on the line a = b = (sigma + c)/2, and G_c the ground
     state at the same rapidity on a = -b = (delta + c)/2, c in
-    {0, +-2 fd_step}, each divided by h_0(0). All six lines are read through
-    psi_boosted_lightcone, so the residual sees the boost itself.
+    {0, +-2h, +-4h} (H_+- at +-2h, H_++ and H_-- at +-4h), each divided by
+    h_0(0). Both lines are read through psi_boosted_lightcone, the five
+    shifts of each in one call, so the residual sees the boost itself.
 
     |G_0| must not grow with |d| (checked; NumericIntegrityError otherwise).
     Then max|psi| is the largest |H_0[s]| |G_0[s mod 2]|, and the cells
@@ -288,14 +298,8 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
     N x N array is formed.
 
     Returns the model eigenvalue n_z, its Rayleigh-quotient estimate from the
-    grid data, and the masked maximum of |D psi - n_z psi| / max|psi| using
-    second-order central differences with the given step.
+    grid data, and the masked maximum of |D psi - n_z psi| / max|psi|.
     """
-    if state.n_x or state.n_y:
-        raise DomainError("residual check covers the (z, t) sector; transverse numbers must be 0")
-    fd_step = float(fd_step)
-    if not 1e-4 <= fd_step <= 1e-1:
-        raise ConfigError(f"fd_step {fd_step} outside [1e-4, 1e-1]")
     n = grid.npoints
     s, k = np.arange(2 * n - 1), np.arange(n)
     sums, diffs = 2.0 * grid.min + grid.step * s, grid.step * k
@@ -306,13 +310,17 @@ def pde_residual(state: OscillatorState, grid: GridSpec,
         # the state on a = sign b = x / 2
         return psi_boosted_lightcone(which, e_u * x / 2.0, sign * e_v * x / 2.0) / h_origin
 
-    shifts = (0.0, 2.0 * fd_step, -2.0 * fd_step)
-    h0, h_plus, h_minus = (line(state, sums + c, 1.0) for c in shifts)
-    g0, g_plus, g_minus = (line(ground, diffs + c, -1.0) for c in shifts)
-    hh = 4.0 * (e_u * fd_step) * (e_v * fd_step)
+    def second(x: np.ndarray) -> np.ndarray:
+        # x[c] at the shifts 0, +-2h, +-4h: 12 times the fourth-order second difference
+        return 16.0 * (x[1] + x[2]) - (x[3] + x[4]) - 30.0 * x[0]
+
+    shifts = FD_STEP * np.array([0.0, 2.0, -2.0, 4.0, -4.0])[:, None]
+    h_lines, g_lines = line(state, sums + shifts, 1.0), line(ground, diffs + shifts, -1.0)
+    h0, g0 = h_lines[0], g_lines[0]
+    hh = 48.0 * (e_u * FD_STEP) * (e_v * FD_STEP)
     lam = float(state.n_z)
-    e_a = (sums**2 / 4.0 - lam - 0.5) * h0 - (h_plus + h_minus - 2.0 * h0) / hh
-    e_b = (0.5 - diffs**2 / 4.0) * g0 + (g_plus + g_minus - 2.0 * g0) / hh
+    e_a = (sums**2 / 4.0 - lam - 0.5) * h0 - second(h_lines) / hh
+    e_b = (0.5 - diffs**2 / 4.0) * g0 + second(g_lines) / hh
     h_abs, g_abs = np.abs(h0), np.abs(g0)
     if np.any(g_abs[1:] > g_abs[:-1]):
         raise NumericIntegrityError("|psi| grows away from a = b; the band mask needs it to fall")

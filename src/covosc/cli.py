@@ -11,10 +11,11 @@ _COMMANDS, with the keys it reads; the flags, the resolution of a flag over
 a --config file over the default, and the echo all follow from these two
 tables. A --config key the command does not read is refused.
 
-Quadrature takes no key: marginal and the verify norm integrate on the
-exact Gauss-Hermite rule, analysis.exact_order of their polynomial degree,
-which is n_z + 1 nodes per axis. overlap and parton-scan build no rule and
-evaluate no wave function: they report the paper's closed forms,
+Numerics take no key: marginal and the verify norm integrate on the exact
+Gauss-Hermite rule, analysis.exact_order of their polynomial degree, which
+is n_z + 1 nodes per axis, and the verify residual uses the fixed
+finite-difference step analysis.FD_STEP. overlap and parton-scan build no
+rule and evaluate no wave function: they report the paper's closed forms,
 sech^{n_z+1} of the rapidity difference and the ground-state widths.
 
 Results are rendered column-wise with the same 15-significant-digit text
@@ -36,7 +37,8 @@ The config echo's floats are read from the per-cell texts. The argument
 parser is built once per process and reused by every main call.
 
 Exit status: 0 on success, 1 on domain/configuration errors, 2 when a
-numeric integrity check fails (non-finite output, broken spectrum, ...).
+numeric integrity check fails (non-finite output, a verify residual above
+1e-3 or norm more than 1e-8 from 1, ...).
 """
 
 from __future__ import annotations
@@ -90,7 +92,6 @@ _KEYS = {
     "min": _Key(float, None, "grid lower edge"),
     "max": _Key(float, None, "grid upper edge"),
     "step": _Key(float, None, "grid spacing"),
-    "fd_step": _Key(float, analysis.DEFAULT_FD_STEP, "finite-difference step"),
     "axis": _Key(str, "z", "coordinate kept by the marginal", analysis.MARGINAL_AXES),
     "representation": _Key(str, "spacetime", "spacetime psi(z, t) or momentum phi(q_z, q_0)",
                            ("spacetime", "momentum")),
@@ -258,7 +259,7 @@ def _cmd_grid(cfg: RunConfig):
 
 
 def _cmd_marginal(cfg: RunConfig):
-    state = OscillatorState(cfg.n_z, 0, 0, cfg.eta)
+    state = OscillatorState(cfg.n_z, cfg.eta)
     half = 4.0 * analysis.ground_widths(state.eta)[cfg.axis] * math.sqrt(state.n_z + 1.0)
     spec = _grid_spec(cfg, half, default_points=201)
     field = analysis.marginal(state, cfg.axis, spec, analysis.exact_order(2 * state.n_z))
@@ -267,17 +268,17 @@ def _cmd_marginal(cfg: RunConfig):
 
 def _cmd_overlap(cfg: RunConfig):
     etas = _require_etas(cfg)
-    reference = OscillatorState(cfg.n_z, 0, 0, etas[0])
+    reference = OscillatorState(cfg.n_z, etas[0])
     return {
         "eta_ref": [etas[0]] * len(etas),
         "eta": etas,
-        "overlap": [analysis.frame_overlap(reference, OscillatorState(cfg.n_z, 0, 0, eta))
+        "overlap": [analysis.frame_overlap(reference, OscillatorState(cfg.n_z, eta))
                     for eta in etas],
     }
 
 
 def _cmd_verify(cfg: RunConfig):
-    state = OscillatorState(cfg.n_z, 0, 0, cfg.eta)
+    state = OscillatorState(cfg.n_z, cfg.eta)
     # the residual grid lives along the squeezed axes, where the state looks
     # like its rest frame; size it from the rest-frame support
     half = 4.0 * math.sqrt((state.n_z + 1.0) / 2.0)
@@ -285,10 +286,13 @@ def _cmd_verify(cfg: RunConfig):
     hi = cfg.max if cfg.max is not None else half
     step = cfg.step if cfg.step is not None else 0.02
     spec = GridSpec(lo, hi, step)
-    report = analysis.pde_residual(state, spec, cfg.fd_step)
+    report = analysis.pde_residual(state, spec)
     norm = analysis.norm(state, analysis.exact_order(2 * state.n_z))
     if abs(norm - 1.0) > 1e-8:
         raise NumericIntegrityError(f"norm {norm!r} deviates from 1 by more than 1e-8")
+    if report.max_rel_residual > 1e-3:
+        raise NumericIntegrityError(
+            f"residual {report.max_rel_residual!r} exceeds the bound 1e-3")
     names = ("n_z", "eta", "lambda", "rayleigh_quotient", "max_residual", "norm")
     row = (state.n_z, state.eta, report.eigenvalue, report.rayleigh_quotient,
            report.max_rel_residual, norm)
@@ -334,7 +338,7 @@ _COMMANDS = {
     "overlap": _Command("frame overlaps against the first rapidity",
                         ("etas", "n_z"), _cmd_overlap),
     "verify": _Command("oscillator-equation residual and norm of one state",
-                       ("eta", "n_z", "min", "max", "step", "fd_step"), _cmd_verify),
+                       ("eta", "n_z", "min", "max", "step"), _cmd_verify),
     "parton-scan": _Command("squeeze widths of the ground state per rapidity",
                             ("etas",), _cmd_parton_scan),
     "entropy-scan": _Command("exact entropy/purity/spectrum of the reduced density per rapidity",

@@ -1,7 +1,7 @@
 """Covariant oscillator wave functions of the two-quark separation variable.
 
-A state carries longitudinal and transverse excitation numbers plus a
-rapidity. The time-separation coordinate has no excitation number at all:
+A state carries a longitudinal excitation number and a rapidity. The
+time-separation coordinate has no excitation number at all:
 its factor is frozen in the Gaussian ground state, which is what keeps every
 boosted wave function normalizable. Normalization constants are kept
 everywhere, so squared wave functions integrate to one in any frame.
@@ -29,34 +29,30 @@ __all__ = [
     "OscillatorState",
     "psi_boosted",
     "psi_boosted_lightcone",
-    "psi_full",
 ]
 
 
 @dataclass(frozen=True)
 class OscillatorState:
-    """Excitations (n_z, n_x, n_y) and rapidity eta of one bound-state wave function.
+    """Longitudinal excitation n_z and rapidity eta of one bound-state wave function.
 
     There is deliberately no time-like quantum number: the t factor is the
     fixed Gaussian ground state for every state this type can express.
     """
 
     n_z: int = 0
-    n_x: int = 0
-    n_y: int = 0
     eta: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("n_z", "n_x", "n_y"):
-            value = getattr(self, name)
-            if value != int(value):
-                raise DomainError(f"{name} must be an integer, got {value!r}")
-            value = int(value)
-            if value < 0:
-                raise DomainError(f"{name} must be >= 0, got {value}")
-            if value > DEGREE_MAX:
-                raise CapabilityError(f"{name} = {value} exceeds the cap {DEGREE_MAX}")
-            object.__setattr__(self, name, value)
+        n_z = self.n_z
+        if n_z != int(n_z):
+            raise DomainError(f"n_z must be an integer, got {n_z!r}")
+        n_z = int(n_z)
+        if n_z < 0:
+            raise DomainError(f"n_z must be >= 0, got {n_z}")
+        if n_z > DEGREE_MAX:
+            raise CapabilityError(f"n_z = {n_z} exceeds the cap {DEGREE_MAX}")
+        object.__setattr__(self, "n_z", n_z)
         object.__setattr__(self, "eta", rapidity_value(self.eta))
 
 
@@ -82,15 +78,3 @@ def psi_boosted_lightcone(state: OscillatorState, u, v):
     t_rest = (a - b) / SQRT2
     return hermite_function(state.n_z, z_rest) * hermite_function(0, t_rest)
 
-
-def psi_full(state: OscillatorState, x, y, z, t):
-    """Full wave function: boosted (z, t) sector times transverse factors.
-
-    The transverse factors h_{n_x}(x) h_{n_y}(y) never see the rapidity, so
-    they are identical in every frame.
-    """
-    return (
-        psi_boosted(state, z, t)
-        * hermite_function(state.n_x, x)
-        * hermite_function(state.n_y, y)
-    )

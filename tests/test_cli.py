@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -342,7 +343,7 @@ class TestVerifyCommand:
         assert row["lambda"] == 2.0
         assert row["max_residual"] < 1e-3
 
-    @given(st.integers(0, 5), st.floats(min_value=-ETA_MAX, max_value=ETA_MAX))
+    @given(st.integers(0, 64), st.floats(min_value=-ETA_MAX, max_value=ETA_MAX))
     @settings(max_examples=150, deadline=None)
     def test_default_grid_over_the_domain(self, n_z, eta):
         out = io.StringIO()
@@ -351,8 +352,8 @@ class TestVerifyCommand:
         assert code == 0
         (row,) = json.loads(out.getvalue())["results"]
         assert row["lambda"] == n_z
-        assert abs(row["rayleigh_quotient"] - n_z) < 1e-3
-        assert row["max_residual"] < 1e-3
+        assert abs(row["rayleigh_quotient"] - n_z) < 1e-6
+        assert row["max_residual"] < 1e-6
         assert abs(row["norm"] - 1.0) < 1e-8
 
     def test_fine_grid(self, tmp_path):
@@ -370,6 +371,42 @@ class TestVerifyCommand:
         assert code == 2
         assert not out.exists()
         assert "deviates from 1 by more than 1e-8" in capsys.readouterr().err
+
+    def test_residual_above_the_bound_exits_2(self, tmp_path, monkeypatch, capsys):
+        # the stencil's own error at n_z = 3 reads 1.1e-2 at a step of 0.2
+        # and 7.3e-4 at 0.1
+        argv = ["verify", "--n-z", "3", "--eta=0.7"]
+        monkeypatch.setattr(analysis, "FD_STEP", 0.2)
+        code, out = run_cli(argv, tmp_path, "v.csv")
+        assert code == 2
+        assert not out.exists()
+        assert "exceeds the bound 1e-3" in capsys.readouterr().err
+        monkeypatch.setattr(analysis, "FD_STEP", 0.1)
+        code, out = run_cli(argv, tmp_path, "v.csv")
+        assert code == 0
+        assert 1e-4 < float(out.read_text().splitlines()[-1].split(",")[4]) < 1e-3
+
+    def test_fd_step_flag_exits_1(self, tmp_path, capsys):
+        # the step is analysis.FD_STEP, as the quadrature order is the exact one
+        code, out = run_cli(["verify", "--fd-step", "0.01"], tmp_path)
+        assert code == 1
+        assert not out.exists()
+        assert "unrecognized arguments: --fd-step 0.01" in capsys.readouterr().err
+
+
+class TestMarginalCommand:
+    @pytest.mark.parametrize("axis", analysis.MARGINAL_AXES)
+    def test_default_grid_integrates_to_one(self, axis):
+        # far from rest the z and t integrands are a light-cone coordinate
+        # narrower than the rounding of z or t themselves
+        for n_z, eta in itertools.product(range(4), (0.0, 0.7, 20.0, -20.0, 50.0, -50.0)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["marginal", "--axis", axis, "--n-z", str(n_z), f"--eta={eta}"])
+            assert code == 0
+            rows = [line for line in out.getvalue().splitlines() if not line.startswith("#")]
+            x, density = np.loadtxt(rows[1:], delimiter=",", unpack=True)
+            assert np.trapezoid(density, x) == pytest.approx(1.0, rel=0.0, abs=1e-3), (n_z, eta)
 
 
 class TestGridCommand:
@@ -532,13 +569,14 @@ READS = {
     "grid": {"eta", "n_z", "min", "max", "step", "representation"},
     "marginal": {"eta", "n_z", "min", "max", "step", "axis"},
     "overlap": {"etas", "n_z"},
-    "verify": {"eta", "n_z", "min", "max", "step", "fd_step"},
+    "verify": {"eta", "n_z", "min", "max", "step"},
     "parton-scan": {"etas"},
     "entropy-scan": {"etas"},
 }
 # one valid value per key: its config text, its CSV echo and its JSON echo;
-# n_x, n_y and order are no command's keys any more, so every command refuses
-# them: each request integrates on its exact rule
+# n_x, n_y, order and fd_step are no command's keys any more, so every command
+# refuses them: each request integrates on its exact rule, and verify
+# differentiates with analysis.FD_STEP
 VALUES = {
     "eta": ("0.5", "0.5", 0.5),
     "etas": ("0, 0.5", "0.0,0.5", [0.0, 0.5]),
@@ -581,7 +619,6 @@ LIVE = {
     ("verify", "min"): ("-2", "-1"),
     ("verify", "max"): ("1", "2"),
     ("verify", "step"): ("0.05", "0.1"),
-    ("verify", "fd_step"): ("0.01", "0.02"),
     ("parton-scan", "etas"): ("0,0.5", "0,1.5"),
     ("entropy-scan", "etas"): ("0.5", "1.5"),
 }
@@ -718,9 +755,10 @@ class TestErrorPaths:
         monkeypatch.setattr(analysis, "psi_boosted_lightcone", record)
         code, out = run_cli(["verify", "--n-z", "64", "--format", "json"], tmp_path, "v.json")
         assert code == 0
-        # the 2281^2 residual grid is read from three lines of 2 * 2281 - 1
-        # points and three of 2281, then the norm from one 65-node rule per state
-        assert lines == [(4561,)] * 3 + [(2281,)] * 3 + [(65, 65)] * 2
+        # the 2281^2 residual grid is read from five shifts of a line of
+        # 2 * 2281 - 1 points and five of one of 2281, one call each, then the
+        # norm from one 65-node rule per state
+        assert lines == [(5, 4561), (5, 2281)] + [(65, 65)] * 2
         (row,) = json.loads(out.read_text())["results"]
         assert row["lambda"] == 64.0
         assert abs(row["norm"] - 1.0) < 1e-8

@@ -33,8 +33,6 @@ def test_module_exports_resolve(name):
 
 # exported names nothing in src/ reads, each with the reason it stays
 UNREAD = {
-    "psi_full": "the transverse sector, kept for the little-group rotation of "
-                "boosts along two axes",
     "reduce": "the grid reduced density: the numerical cross-check of thermal_row",
     "entropy": "the spectrum entropy of reduce's grid density",
     "purity": "the purity of reduce's grid density",

@@ -31,6 +31,8 @@ REQUESTS = [
     ["grid", "--eta=5", "--n-z", "1"],
     ["marginal", "--axis", "z", "--eta=0.8", "--n-z", "1"],
     ["marginal", "--axis", "v", "--eta=-1.2", "--min=-2", "--max=2", "--step=0.25"],
+    # the t axis far from rest, where the narrow light-cone coordinate is u
+    ["marginal", "--axis", "t", "--n-z", "2", "--eta=-20"],
     ["overlap", "--n-z", "2", "--etas=0,0.5,-1,3"],
     ["verify", "--n-z", "2", "--eta=0.5"],
     # a 1167^2 residual grid, read from lines of 2333 and 1167 points

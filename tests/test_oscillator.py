@@ -13,7 +13,6 @@ from covosc import (
     hermite_function,
     psi_boosted,
     psi_boosted_lightcone,
-    psi_full,
 )
 from scalar_kinematics import SpacetimePoint, to_lightcone
 
@@ -88,7 +87,7 @@ def psi_rest(state: OscillatorState, z, t):
 class TestState:
     def test_defaults(self):
         s = OscillatorState()
-        assert (s.n_z, s.n_x, s.n_y, s.eta) == (0, 0, 0, 0.0)
+        assert (s.n_z, s.eta) == (0, 0.0)
 
     def test_accepts_rapidity_instance(self):
         s = OscillatorState(n_z=1, eta=Rapidity(0.5))
@@ -96,8 +95,8 @@ class TestState:
 
     def test_with_rapidity(self):
         # another frame is dataclasses.replace, which validates the new rapidity
-        s = dataclasses.replace(OscillatorState(n_z=2, n_x=1), eta=1.5)
-        assert (s.n_z, s.n_x, s.n_y, s.eta) == (2, 1, 0, 1.5)
+        s = dataclasses.replace(OscillatorState(n_z=2), eta=1.5)
+        assert (s.n_z, s.eta) == (2, 1.5)
         with pytest.raises(DomainError):
             dataclasses.replace(s, eta=51.0)
 
@@ -105,9 +104,9 @@ class TestState:
         with pytest.raises(DomainError):
             OscillatorState(n_z=-1)
         with pytest.raises(DomainError):
-            OscillatorState(n_x=0.5)
+            OscillatorState(n_z=0.5)
         with pytest.raises(CapabilityError):
-            OscillatorState(n_y=65)
+            OscillatorState(n_z=65)
         with pytest.raises(DomainError):
             OscillatorState(eta=51.0)
 
@@ -238,49 +237,6 @@ class TestPsiBoosted:
     def test_normalization_is_eta_independent_scalar_type(self):
         value = psi_boosted(OscillatorState(eta=1.0), 0.3, -0.2)
         assert isinstance(value, float)
-
-
-class TestPsiFull:
-    def test_all_ground_origin(self):
-        got = psi_full(OscillatorState(), 0.0, 0.0, 0.0, 0.0)
-        assert got == pytest.approx(1.0 / math.pi, abs=1e-15)
-        assert got == pytest.approx(0.318309886183791, abs=1e-13)
-
-    def test_transverse_factor_boost_invariant(self):
-        # evaluated at z = t = 0 the longitudinal factor is exactly 1/sqrt(pi)
-        # in every frame, so the transverse factor is exposed bitwise
-        rng = np.random.default_rng(8)
-        xs = rng.uniform(-3.0, 3.0, 100)
-        ys = rng.uniform(-3.0, 3.0, 100)
-        rest = OscillatorState(n_x=1, n_y=1)
-        fast = OscillatorState(n_x=1, n_y=1, eta=3.0)
-        a = psi_full(rest, xs, ys, 0.0, 0.0)
-        b = psi_full(fast, xs, ys, 0.0, 0.0)
-        np.testing.assert_array_equal(a, b)
-
-    def test_ratio_between_frames_independent_of_xy(self):
-        rng = np.random.default_rng(9)
-        xs = rng.uniform(-2.0, 2.0, 50)
-        ys = rng.uniform(-2.0, 2.0, 50)
-        s1 = OscillatorState(n_x=1, n_y=2, eta=0.0)
-        s2 = OscillatorState(n_x=1, n_y=2, eta=2.0)
-        z, t = 0.7, -0.4
-        ratio = psi_full(s1, xs, ys, z, t) / psi_full(s2, xs, ys, z, t)
-        np.testing.assert_allclose(ratio, ratio[0], rtol=1e-12)
-
-    def test_transverse_node(self):
-        s = OscillatorState(n_x=1)
-        assert psi_full(s, 0.0, 1.0, 0.5, 0.5) == 0.0
-
-    def test_transverse_factor_value(self):
-        # h_0(1) = pi^(-1/4) e^(-1/2) regardless of the boost
-        want = math.pi ** -0.25 * math.exp(-0.5)
-        for eta in (0.0, 3.0):
-            s = OscillatorState(eta=eta)
-            full = psi_full(s, 1.0, 0.0, 0.0, 0.0)
-            longitudinal = psi_boosted(s, 0.0, 0.0)
-            transverse = full / (longitudinal * hermite_function(0, 0.0))
-            assert transverse == pytest.approx(want, rel=1e-14)
 
 
 class TestPhiMomentum:
