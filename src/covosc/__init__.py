@@ -3,8 +3,9 @@
 Validated rapidities, the boosted oscillator wave function (a squeeze of
 its light-cone arguments, one function for space-time and
 momentum-energy), verification of the defining differential equation and
-normalization, parton-limit observables, and the reduced density matrix
-left by tracing out the unobservable time-separation variable.
+normalization, the paper's closed forms (closed_forms: overlaps, parton
+widths and the thermal spectrum of the reduced density), and the grid
+reduced density left by tracing out the time-separation variable.
 """
 
 from .analysis import (
@@ -17,6 +18,7 @@ from .analysis import (
     pde_residual,
     render_grid,
 )
+from .closed_forms import thermal_row
 from .errors import (
     CapabilityError,
     ConfigError,
@@ -27,7 +29,7 @@ from .errors import (
 from .hermite import QuadratureRule, gauss_hermite, hermite_function
 from .kinematics import ETA_MAX, Rapidity, beta_from_rapidity, rapidity_value
 from .oscillator import OscillatorState, psi_boosted, psi_boosted_lightcone
-from .rest_of_universe import ReducedDensity, entropy, purity, reduce, thermal_row
+from .rest_of_universe import ReducedDensity, entropy, purity, reduce
 
 __version__ = "0.1.0"
 

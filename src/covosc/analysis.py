@@ -1,8 +1,8 @@
 """Verification and observables for the boosted oscillator states.
 
 Residual checks of the defining differential equation, quadrature norms and
-overlaps, marginal densities, dense grid renderings, and the closed forms of
-the frame overlap and the squeeze widths. All quadrature is laid out along
+overlaps, marginal densities and dense grid renderings; the closed forms they
+are checked against live in closed_forms. All quadrature is laid out along
 the squeezed light-cone axes with per-axis scales e^{+-eta}, so node
 coverage tracks the state's support at any rapidity.
 
@@ -184,8 +184,8 @@ def overlap(a: OscillatorState, b: OscillatorState, order: int = DEFAULT_ORDER) 
 
     The terms of the sum are O(1), so the result has an absolute floor near
     1e-18: an overlap below about 1e-16 is rounding noise, and can come out
-    negative. The CLI reports frame_overlap, the closed form; this
-    quadrature of psi is what norm, and so verify, reads.
+    negative. The CLI reports closed_forms.frame_overlap; this quadrature
+    of psi is what norm, and so verify, reads.
     """
     _check_order(order, a.n_z + b.n_z, f"n_z = {a.n_z} and {b.n_z}")
     s_u = math.sqrt(2.0 / (math.exp(-2.0 * a.eta) + math.exp(-2.0 * b.eta)))
@@ -383,29 +383,3 @@ def render_grid(state: OscillatorState, grid: GridSpec,
     for b in _row_blocks(grid.npoints):
         values[b] = psi_boosted(state, pts[b, None], pts[None, :])
     return FieldGrid(specs=(grid, grid), axes=axes, values=values)
-
-
-def ground_widths(eta: float) -> dict[str, float]:
-    """Closed-form standard deviations of the boosted ground state's |psi|^2, per axis.
-
-    sigma_z = sigma_t = sqrt(cosh(2 eta)/2), sigma_u = e^eta/sqrt(2) and
-    sigma_v = e^-eta/sqrt(2). The momentum width sigma_qz equals sigma_z, so
-    the product sigma_z sigma_qz = cosh(2 eta)/2 rises without bound: one
-    covariant state serves as both the rest-frame bound state and the
-    free-parton limit. The CLI's parton-scan reports these widths.
-    """
-    sigma_z = math.sqrt(0.5 * math.cosh(2.0 * eta))
-    return {"z": sigma_z, "t": sigma_z, "u": math.exp(eta) / SQRT2, "v": math.exp(-eta) / SQRT2}
-
-
-def frame_overlap(a: OscillatorState, b: OscillatorState) -> float:
-    """Closed-form inner product of the (z, t) sectors of two states.
-
-    A boost conserves n_z - n_t, and n_t = 0 in every state, so
-    <psi^m_{eta_1}|psi^n_{eta_2}> = delta_mn sech^{n+1}(eta_2 - eta_1).
-    For |eta_2 - eta_1| <= 2 ETA_MAX and n <= 64 the power underflows to 0.0
-    where the value leaves double range and never overflows.
-    """
-    if a.n_z != b.n_z:
-        return 0.0
-    return (1.0 / math.cosh(b.eta - a.eta)) ** (a.n_z + 1)

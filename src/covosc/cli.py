@@ -12,11 +12,10 @@ a --config file over the default, and the echo all follow from these two
 tables. A --config key the command does not read is refused.
 
 Numerics take no key: marginal and the verify norm integrate on the exact
-Gauss-Hermite rule, analysis.exact_order of their polynomial degree, which
-is n_z + 1 nodes per axis, and the verify residual uses the fixed
-finite-difference step analysis.FD_STEP. overlap and parton-scan build no
-rule and evaluate no wave function: they report the paper's closed forms,
-sech^{n_z+1} of the rapidity difference and the ground-state widths.
+Gauss-Hermite rule, n_z + 1 nodes per axis (analysis.exact_order), and the
+verify residual uses the fixed step analysis.FD_STEP. boost, overlap,
+parton-scan and entropy-scan evaluate no wave function: each writes one
+closed_forms row per rapidity and refuses an empty rapidity list.
 
 Results are rendered column-wise with the same 15-significant-digit text
 in both formats: each float column is checked for NaN/Inf once, and a grid
@@ -27,11 +26,11 @@ rule, _MATRIX_ROWS, picks how a table is written:
 - a table of fewer rows goes cell by cell: one %.15g pass per column,
   reading back only integral, exponent-15 and e-3xx texts, with JSON result
   objects filled from the CSV cells through one template;
-- a larger one (every grid, a marginal of 250 points or more) goes through
-  numpy: each column becomes a uint8 matrix holding the same text per row
-  (_textmatrix.float_matrix, exact to the last digit), and the CSV or JSON
-  body is those matrices set side by side with the separator bytes, in row
-  blocks, with the pad bytes dropped.
+- a larger one (every default grid, a marginal of 250 points or more) goes
+  through numpy: each column becomes a uint8 matrix holding the same text
+  per row (_textmatrix.float_matrix, exact to the last digit), and the CSV
+  or JSON body is those matrices set side by side with the separator bytes,
+  in row blocks, with the pad bytes dropped.
 
 The config echo's floats are read from the per-cell texts. The argument
 parser is built once per process and reused by every main call.
@@ -55,7 +54,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import _textmatrix, analysis, kinematics, rest_of_universe
+from . import _textmatrix, analysis, closed_forms
 from .analysis import GridSpec
 from .errors import ConfigError, CovoscError, NumericIntegrityError
 from .oscillator import OscillatorState
@@ -219,25 +218,6 @@ def _grid_spec(cfg: RunConfig, half_width: float, default_points: int) -> GridSp
     return GridSpec(lo, hi, step)
 
 
-def _require_etas(cfg: RunConfig) -> tuple[float, ...]:
-    if not cfg.etas:
-        raise ConfigError(f"{cfg.command} requires --etas")
-    return cfg.etas
-
-
-def _cmd_boost(cfg: RunConfig):
-    etas = [kinematics.rapidity_value(e)
-            for e in (cfg.etas if cfg.etas is not None else (cfg.eta,))]
-    return {
-        "eta": etas,
-        "beta": [kinematics.beta_from_rapidity(e) for e in etas],
-        "cosh_eta": [math.cosh(e) for e in etas],
-        "sinh_eta": [math.sinh(e) for e in etas],
-        "exp_eta": [math.exp(e) for e in etas],
-        "exp_neg_eta": [math.exp(-e) for e in etas],
-    }
-
-
 def _state_half_width(state: OscillatorState) -> float:
     # 4 sigma of the widest axis: sqrt((n_z + 1)/2) at rest, stretched by the boost
     stretch = math.exp(abs(state.eta))
@@ -260,21 +240,10 @@ def _cmd_grid(cfg: RunConfig):
 
 def _cmd_marginal(cfg: RunConfig):
     state = OscillatorState(cfg.n_z, cfg.eta)
-    half = 4.0 * analysis.ground_widths(state.eta)[cfg.axis] * math.sqrt(state.n_z + 1.0)
+    half = 4.0 * closed_forms.ground_widths(state.eta)[cfg.axis] * math.sqrt(state.n_z + 1.0)
     spec = _grid_spec(cfg, half, default_points=201)
     field = analysis.marginal(state, cfg.axis, spec, analysis.exact_order(2 * state.n_z))
     return {cfg.axis: field.points(), "density": field.values}
-
-
-def _cmd_overlap(cfg: RunConfig):
-    etas = _require_etas(cfg)
-    reference = OscillatorState(cfg.n_z, etas[0])
-    return {
-        "eta_ref": [etas[0]] * len(etas),
-        "eta": etas,
-        "overlap": [analysis.frame_overlap(reference, OscillatorState(cfg.n_z, eta))
-                    for eta in etas],
-    }
 
 
 def _cmd_verify(cfg: RunConfig):
@@ -299,25 +268,24 @@ def _cmd_verify(cfg: RunConfig):
     return {name: [value] for name, value in zip(names, row)}
 
 
-def _cmd_parton_scan(cfg: RunConfig):
-    etas = [kinematics.rapidity_value(e) for e in _require_etas(cfg)]
-    widths = [analysis.ground_widths(e) for e in etas]
-    return {
-        "eta": etas,
-        "sigma_u": [w["u"] for w in widths],
-        "sigma_v": [w["v"] for w in widths],
-        "sigma_z": [w["z"] for w in widths],
-        "sigma_qz": [w["z"] for w in widths],
-        # sigma_u / sigma_v and sigma_u(eta) / sigma_u(0)
-        "aspect": [math.exp(2.0 * e) for e in etas],
-        "time_dilation": [math.exp(e) for e in etas],
-    }
+def _per_rapidity(columns: str, row: Callable[..., tuple],
+                  bind: Callable[[RunConfig], tuple] = lambda cfg: ()):
+    """Table function whose row i holds the columns, row(*bind(cfg), etas[i])."""
+    names = columns.split(",")
+
+    def run(cfg: RunConfig) -> dict:
+        # boost reads --eta when it has no --etas
+        etas = cfg.etas if cfg.etas is not None or not hasattr(cfg, "eta") else (cfg.eta,)
+        if not etas:
+            raise ConfigError(f"{cfg.command} requires --etas with at least one rapidity")
+        args = bind(cfg)
+        return dict(zip(names, zip(*[row(*args, eta) for eta in etas])))
+
+    return run
 
 
-def _cmd_entropy_scan(cfg: RunConfig):
-    rows = [rest_of_universe.thermal_row(eta) for eta in _require_etas(cfg)]
-    names = ("eta", "entropy", "purity", "lambda_0", "lambda_1", "trace")
-    return dict(zip(names, zip(*rows)))
+def _overlap_row(ref: OscillatorState, eta: float) -> tuple[float, float, float]:
+    return ref.eta, eta, closed_forms.frame_overlap(ref, OscillatorState(ref.n_z, eta))
 
 
 class _Command(NamedTuple):
@@ -329,20 +297,23 @@ class _Command(NamedTuple):
 
 
 _COMMANDS = {
-    "boost": _Command("kinematic factors per rapidity", ("eta", "etas"), _cmd_boost),
+    "boost": _Command("kinematic factors per rapidity", ("eta", "etas"), _per_rapidity(
+        "eta,beta,cosh_eta,sinh_eta,exp_eta,exp_neg_eta", closed_forms.boost_row)),
     "grid": _Command("dense wave-function samples on a square grid",
-                     ("eta", "n_z", "min", "max", "step", "representation"),
-                     _cmd_grid),
+                     ("eta", "n_z", "min", "max", "step", "representation"), _cmd_grid),
     "marginal": _Command("1-D probability density along one axis",
                          ("eta", "n_z", "min", "max", "step", "axis"), _cmd_marginal),
-    "overlap": _Command("frame overlaps against the first rapidity",
-                        ("etas", "n_z"), _cmd_overlap),
+    "overlap": _Command("frame overlaps against the first rapidity", ("etas", "n_z"),
+                        _per_rapidity("eta_ref,eta,overlap", _overlap_row,
+                                      lambda cfg: (OscillatorState(cfg.n_z, cfg.etas[0]),))),
     "verify": _Command("oscillator-equation residual and norm of one state",
                        ("eta", "n_z", "min", "max", "step"), _cmd_verify),
-    "parton-scan": _Command("squeeze widths of the ground state per rapidity",
-                            ("etas",), _cmd_parton_scan),
-    "entropy-scan": _Command("exact entropy/purity/spectrum of the reduced density per rapidity",
-                             ("etas",), _cmd_entropy_scan),
+    "parton-scan": _Command("squeeze widths of the ground state per rapidity", ("etas",),
+                            _per_rapidity("eta,sigma_u,sigma_v,sigma_z,sigma_qz,aspect,"
+                                          "time_dilation", closed_forms.parton_row)),
+    "entropy-scan": _Command(
+        "exact entropy/purity/spectrum of the reduced density per rapidity", ("etas",),
+        _per_rapidity("eta,entropy,purity,lambda_0,lambda_1,trace", closed_forms.thermal_row)),
 }
 
 
@@ -544,8 +515,7 @@ def _render_json(cfg: RunConfig, table: dict) -> str:
     keys = [key.replace("%", "%%") for key in keys]
     template = "    {\n" + ",\n".join(f"      {key}: %s" for key in keys) + "\n    }"
     rows = ",\n".join(template % row for row in zip(*_cells(table)))
-    results = f"[\n{rows}\n  ]" if rows else "[]"
-    return f"{head}{results}\n}}\n"
+    return f"{head}[\n{rows}\n  ]\n}}\n"
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -7,10 +7,8 @@ lambda_k = s^k / (1 + s)^(k+1), s = sinh^2 eta (ratio tanh^2 eta), entropy
 that grows with the boost, and purity 1/cosh(2 eta): the price of ignoring
 the part of the universe the observer cannot measure.
 
-`thermal_row` reads entropy, purity and the leading eigenvalues straight off
-that exact spectrum; it is what the `entropy-scan` command reports. `reduce`
-discretizes rho(z, z') on a grid and solves its spectrum numerically, which
-makes it the independent cross-check of those closed forms.
+`reduce` solves the spectrum of rho(z, z') on a grid: the numerical
+cross-check of closed_forms.thermal_row, which reads it off in closed form.
 """
 
 from __future__ import annotations
@@ -26,8 +24,7 @@ from .errors import NumericIntegrityError
 from .hermite import gauss_hermite
 from .kinematics import Rapidity, rapidity_value
 
-__all__ = ["EIGENVALUE_FLOOR", "ReducedDensity", "entropy", "purity", "reduce",
-           "thermal_row"]
+__all__ = ["EIGENVALUE_FLOOR", "ReducedDensity", "entropy", "purity", "reduce"]
 
 # discretization noise below this contributes only spurious entropy
 EIGENVALUE_FLOOR = 1e-12
@@ -166,28 +163,3 @@ def entropy(rho: ReducedDensity) -> float:
 def purity(rho: ReducedDensity) -> float:
     """Tr rho^2 of the weight-folded matrix; 1 exactly for a pure state."""
     return float(np.sum(rho.matrix * rho.matrix))
-
-
-def thermal_row(eta: Rapidity | float) -> tuple[float, float, float, float, float, float]:
-    """Exact (eta, entropy, purity, lambda_0, lambda_1, trace) of the reduced ground state.
-
-    The spectrum is lambda_k = s^k / (1 + s)^(k+1) with mean occupation
-    s = sinh^2 eta, so entropy = (1 + s) ln(1 + s) - s ln s, purity =
-    1/(1 + 2s) = 1/cosh(2 eta), lambda_0 = 1/(1 + s), lambda_1 = s/(1 + s)^2
-    and the trace sum(lambda_k) is 1. Entropy is evaluated as
-    log1p(s) + s ln(1 + 1/s), which neither cancels nor overflows at
-    s ~ 6.7e42 (|eta| = ETA_MAX); the textbook form
-    cosh^2 ln cosh^2 - sinh^2 ln sinh^2 loses about 0.87 |eta| digits.
-    The returned eta keeps its sign; every other column is even in eta.
-    """
-    e = rapidity_value(eta)
-    s = math.sinh(abs(e)) ** 2
-    if s == 0.0:
-        occupation_term = 0.0
-    elif s < 1.0:
-        # 1/s can overflow for subnormal s; ln(1 + s) - ln s does not cancel here
-        occupation_term = s * (math.log1p(s) - math.log(s))
-    else:
-        occupation_term = s * math.log1p(1.0 / s)
-    return (e, math.log1p(s) + occupation_term, 1.0 / (1.0 + 2.0 * s),
-            1.0 / (1.0 + s), s / (1.0 + s) ** 2, 1.0)

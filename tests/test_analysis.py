@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from covosc import analysis, cli
+from covosc import analysis, cli, closed_forms
 from covosc import (
     ETA_MAX,
     ConfigError,
@@ -342,7 +342,7 @@ class TestOverlap:
         for eta_a, eta_b in ((0.0, 0.8), (-1.3, 0.4)):
             a, b = OscillatorState(n_z=m, eta=eta_a), OscillatorState(n_z=n, eta=eta_b)
             assert overlap(a, b, 64) == pytest.approx(0.0, abs=1e-13)
-            assert analysis.frame_overlap(a, b) == 0.0
+            assert closed_forms.frame_overlap(a, b) == 0.0
 
     def test_depends_only_on_rapidity_difference(self):
         values = [
@@ -373,7 +373,7 @@ class TestOverlap:
     def test_exact_order_and_64_nodes_meet_the_closed_form(self, n_z, eta, delta):
         # the quadrature of psi is the reference for the closed form the CLI reports
         a, b = OscillatorState(n_z=n_z, eta=eta + delta), OscillatorState(n_z=n_z, eta=eta)
-        want = analysis.frame_overlap(b, a)
+        want = closed_forms.frame_overlap(b, a)
         for order in (analysis.exact_order(2 * n_z), 64):
             assert overlap(a, b, order) == pytest.approx(want, rel=0.0, abs=5e-14), order
 
@@ -443,7 +443,7 @@ class TestMarginal:
     @settings(max_examples=100, deadline=None)
     def test_exact_order_matches_64_nodes(self, n_z, eta, axis):
         state = OscillatorState(n_z=n_z, eta=eta)
-        half = 4.0 * analysis.ground_widths(eta)[axis] * math.sqrt(n_z + 1.0)
+        half = 4.0 * closed_forms.ground_widths(eta)[axis] * math.sqrt(n_z + 1.0)
         grid = GridSpec.symmetric(half, 41)
         exact = marginal(state, axis, grid, analysis.exact_order(2 * n_z)).values
         # the density scales as 1/sigma, e^{-50} at the far end of the domain
@@ -456,7 +456,7 @@ class TestMarginal:
     def test_norm_and_variance_match_the_closed_forms(self, n_z, eta, axis):
         # the state reaches sqrt(2 n_z + 1) ground widths; a fine trapezoid
         # over a wider window integrates the smooth density to rounding
-        sigma = analysis.ground_widths(eta)[axis]
+        sigma = closed_forms.ground_widths(eta)[axis]
         grid = GridSpec.symmetric((math.sqrt(2.0 * n_z + 1.0) + 6.0) * SQRT2 * sigma, 2001)
         density = marginal(OscillatorState(n_z=n_z, eta=eta), axis, grid,
                            analysis.exact_order(2 * n_z))
@@ -556,7 +556,7 @@ class TestPartonScan:
 
     @pytest.mark.parametrize("eta", WIDTH_ETAS)
     def test_widths_match_the_quadrature_of_psi(self, eta):
-        widths, row = analysis.ground_widths(eta), scan([eta])[0]
+        widths, row = closed_forms.ground_widths(eta), scan([eta])[0]
         for axis, sigma in quadrature_widths(eta, 3).items():
             assert widths[axis] == pytest.approx(sigma, rel=1e-14, abs=0.0), axis
             # the CLI writes 15 significant digits
@@ -565,7 +565,7 @@ class TestPartonScan:
     @pytest.mark.parametrize("wrong_boost", [squeeze_both_axes, boost_backwards])
     @pytest.mark.parametrize("eta", [e for e in WIDTH_ETAS if e])
     def test_quadrature_widths_miss_under_a_wrong_boost(self, wrong_boost, eta, monkeypatch):
-        widths = analysis.ground_widths(eta)
+        widths = closed_forms.ground_widths(eta)
         monkeypatch.setattr(analysis, "psi_boosted_lightcone", wrong_boost)
         missed = {axis: abs(sigma / widths[axis] - 1.0)
                   for axis, sigma in quadrature_widths(eta, 3).items()}
@@ -574,7 +574,7 @@ class TestPartonScan:
     @given(st.floats(-ETA_MAX, ETA_MAX))
     @settings(max_examples=60, deadline=None)
     def test_exact_order_matches_64_nodes(self, eta):
-        widths = analysis.ground_widths(eta)
+        widths = closed_forms.ground_widths(eta)
         for order in (3, 64):
             for axis, sigma in quadrature_widths(eta, order).items():
                 assert widths[axis] == pytest.approx(sigma, rel=1e-13, abs=0.0), (order, axis)

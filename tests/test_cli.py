@@ -12,13 +12,14 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covosc import ETA_MAX, ConfigError, NumericIntegrityError, analysis, cli, rest_of_universe
+from covosc import (ETA_MAX, ConfigError, NumericIntegrityError, OscillatorState, analysis,
+                    cli, closed_forms, rest_of_universe)
+from test_closed_forms import assert_close_or_tiny, overlap_reference, thermal_reference
 from wrong_boosts import squeeze_both_axes
 
 # the requests of tests/test_golden.py with their exit status and output digest
@@ -100,30 +101,11 @@ def run_cli(args, tmp_path=None, name=None):
     return code, out
 
 
-def textbook_row(eta):
-    """Oracle: the paper's forms of the reduced ground state, in mpmath.
-
-    entropy = cosh^2 ln cosh^2 - sinh^2 ln sinh^2 cancels about 0.87 |eta|
-    digits, so it is evaluated at 100 digits to keep 50 after cancellation.
-    """
-    with mpmath.workdps(100):
-        e = mpmath.mpf(eta)
-        c2, s2 = mpmath.cosh(e) ** 2, mpmath.sinh(e) ** 2
-        s_ln_s = s2 * mpmath.log(s2) if s2 else mpmath.mpf(0)
-        return {
-            "entropy": float(c2 * mpmath.log(c2) - s_ln_s),
-            "purity": float(1 / mpmath.cosh(2 * e)),
-            "lambda_0": float(mpmath.sech(e) ** 2),
-            "lambda_1": float(mpmath.tanh(e) ** 2 * mpmath.sech(e) ** 2),
-        }
-
-
-def assert_matches_textbook(row, eta=None):
-    """Relative agreement to 1e-12, absolute for values below 1; trace exactly 1."""
-    want = textbook_row(row["eta"] if eta is None else eta)
-    for key, value in want.items():
-        assert abs(row[key] - value) <= 1e-12 * max(1.0, abs(value)), (key, row, want)
-    assert row["trace"] == 1.0
+def assert_matches_reference(row, eta=None):
+    """A written entropy-scan row against the mpmath reference of thermal_row."""
+    want = thermal_reference(row["eta"] if eta is None else eta)
+    for got, value in zip(row.values(), want, strict=True):
+        assert_close_or_tiny(got, value, 1e-12)
 
 
 def parse_csv(path):
@@ -156,7 +138,7 @@ class TestPartonScanCommand:
         assert code == 0
         _, _, rows = parse_csv(out)
         for row, eta in zip(rows, (0.0, 1.0)):
-            widths = analysis.ground_widths(eta)
+            widths = closed_forms.ground_widths(eta)
             assert row[1:5] == pytest.approx(
                 [widths["u"], widths["v"], widths["z"], widths["z"]], rel=1e-14, abs=0.0)
             assert row[5] == pytest.approx(math.exp(2.0 * eta), rel=1e-14)
@@ -206,17 +188,6 @@ def overlap_column(n_z, etas):
     return [line.rsplit(",", 1)[1] for line in lines[1:]]
 
 
-def sech_power(n_z, eta_ref, eta):
-    """Oracle: sech^{n_z + 1}(eta - eta_ref) in mpmath, from the exact doubles."""
-    with mpmath.workdps(50):
-        return float(mpmath.sech(mpmath.mpf(eta) - mpmath.mpf(eta_ref)) ** (n_z + 1))
-
-
-def assert_close_or_tiny(got, want, rtol):
-    """Relative agreement where want is a normal double, absolute TINY below that."""
-    assert abs(got - want) <= rtol * abs(want) + (TINY if abs(want) < TINY else 0.0), (got, want)
-
-
 RAPIDITY = st.floats(-ETA_MAX, ETA_MAX)
 # anywhere in the domain, where most overlaps underflow, or within a few units
 # of the reference frame, where they are normal doubles
@@ -231,8 +202,10 @@ class TestOverlapCommand:
     @given(st.integers(0, 64), RAPIDITY_LISTS)
     @settings(max_examples=200, deadline=None)
     def test_closed_form_over_the_domain(self, n_z, etas):
+        ref = OscillatorState(n_z, etas[0])
         for got, eta in zip(overlap_column(n_z, etas), etas):
-            assert_close_or_tiny(float(got), sech_power(n_z, etas[0], eta), 1e-13)
+            want = overlap_reference(ref, OscillatorState(n_z, eta))
+            assert_close_or_tiny(float(got), want, 1e-13)
 
     @given(st.integers(0, 64), RAPIDITY_LISTS, st.floats(0.0, 1.0))
     @settings(max_examples=100, deadline=None)
@@ -255,7 +228,7 @@ class TestOverlapCommand:
     ])
     def test_far_below_the_quadrature_floor(self, n_z, etas):
         for got, eta in zip(overlap_column(n_z, etas), etas):
-            want = sech_power(n_z, etas[0], eta)
+            want = overlap_reference(OscillatorState(n_z, etas[0]), OscillatorState(n_z, eta))
             assert float(got) > 0.0
             assert float(got) == pytest.approx(want, rel=1e-13, abs=0.0)
 
@@ -496,7 +469,7 @@ class TestOtherCommands:
         results = json.loads(out.read_text())["results"]
         assert [row["eta"] for row in results] == [2.5, 4.0, 6.0, -6.0]
         for row in results:
-            assert_matches_textbook(row)
+            assert_matches_reference(row)
         assert results[1]["entropy"] == 7.61370567639183
         mirrored = dict(results[3], eta=6.0)
         assert mirrored == results[2]
@@ -512,7 +485,7 @@ class TestOtherCommands:
         results = json.loads(out.getvalue())["results"]
         assert [row["eta"] for row in results] == [float(f"{e:.15g}") for e in etas]
         for row, eta in zip(results, etas):
-            assert_matches_textbook(row, eta)
+            assert_matches_reference(row, eta)
 
     def test_entropy_scan_past_the_cap_exits_1(self, tmp_path, capsys):
         code, _ = run_cli(["entropy-scan", "--etas=50.5"], tmp_path)
@@ -728,7 +701,7 @@ class TestErrorPaths:
         assert code == 1
 
     def test_numeric_integrity_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(cli.analysis, "ground_widths",
+        monkeypatch.setattr(closed_forms, "ground_widths",
                             lambda eta: {"z": 1.0, "t": 1.0, "u": float("nan"), "v": 1.0})
         code, _ = run_cli(["parton-scan", "--etas", "0"], tmp_path, "scan.csv")
         assert code == 2
@@ -762,6 +735,12 @@ class TestErrorPaths:
         (row,) = json.loads(out.read_text())["results"]
         assert row["lambda"] == 64.0
         assert abs(row["norm"] - 1.0) < 1e-8
+
+    def test_empty_rapidity_list_refused_by_every_scan(self):
+        # an empty tuple is reachable from cli.run, not from flags
+        for command in ("boost", "overlap", "parton-scan", "entropy-scan"):
+            with pytest.raises(ConfigError, match=f"{command} requires --etas"):
+                cli.run(cli.RunConfig(command, etas=()))
 
     def test_no_tmp_file_left_behind(self, tmp_path):
         _, out = run_cli(["boost", "--eta", "1"], tmp_path, "b.csv")
@@ -1022,11 +1001,6 @@ class TestColumnRendering:
         data = golden_output(argv, tmp_path)
         payload = json.loads(data)
         assert render_json_oracle(payload["config"], payload["results"]).encode() == data
-
-    def test_json_of_a_table_without_rows(self):
-        # boost with an empty rapidity tuple is reachable from cli.run, not from flags
-        cfg = cli.RunConfig("boost", etas=(), format="json")
-        assert cli.run(cfg) == render_json_oracle(cli._config_dict(cfg), [])
 
     def test_seeded_doubles_over_every_exponent_match_the_oracle(self):
         # random bit patterns spread evenly over every binary exponent

@@ -3,12 +3,16 @@
 Tools that walk `__all__` (the benchmark tracer wraps each entry it finds with
 `getattr`) crash on a name that was deleted but left in an export list. A name
 that no module reads is surface without a user; UNREAD lists the few kept on
-purpose, so the surface cannot grow back unnoticed.
+purpose, so the surface cannot grow back unnoticed. The tracer also reads each
+of its layer modules from `sys.modules`, so importing the CLI must load them.
 """
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -61,3 +65,17 @@ def test_every_export_is_read_or_listed():
     modules = [importlib.import_module(f"covosc.{name}") for name in MODULES]
     exported = set(covosc.__all__).union(*(getattr(m, "__all__", ()) for m in modules))
     assert sorted(exported - names_read_in_src()) == sorted(UNREAD)
+
+
+def test_importing_the_cli_loads_every_traced_layer():
+    # bench/tracer.py looks up sys.modules["covosc.<layer>"] for each of its LAYERS
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    (layers,) = [ast.literal_eval(node.value) for node in ast.parse(tracer.read_text()).body
+                 if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "LAYERS"]
+    src = str(Path(covosc.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, covosc.cli; print(*sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert {f"covosc.{layer}" for layer in layers} <= set(proc.stdout.split())
