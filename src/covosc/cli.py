@@ -23,10 +23,10 @@ axis is formatted once per axis point rather than once per cell. A float
 cell is the repr of its value rounded to 15 significant digits. One size
 rule, _MATRIX_ROWS, picks how a table is written:
 
-- a table of fewer rows goes cell by cell: one %.15g pass per column,
-  reading back only integral, exponent-15 and e-3xx texts, with JSON result
-  objects filled from the CSV cells through one template;
-- a larger one (every default grid, a marginal of 250 points or more) goes
+- a table of fewer rows goes cell by cell, in plain Python for list and
+  tuple columns: one %.15g pass per column, reading back only integral,
+  exponent-15 and e-3xx texts; JSON objects come from one template;
+- a larger one (every default grid, a marginal of 240 points or more) goes
   through numpy: each column becomes a uint8 matrix holding the same text
   per row (_textmatrix.float_matrix, exact to the last digit), and the CSV
   or JSON body is those matrices set side by side with the separator bytes,
@@ -322,50 +322,55 @@ _COMMANDS = {
 _LARGEST_WRITTEN = 1.797693134862315e308
 
 
-# tables with at least this many rows are written from byte matrices: a float
-# column costs about 70 us plus 0.07 us per value there, against 0.8 us per
-# value as per-cell text, and with the assembly's own fixed cost whole CSV and
-# JSON tables break even near 250 rows
-_MATRIX_ROWS = 250
+# tables with at least this many rows are written from byte matrices: a
+# two-column marginal costs about 350 us plus 0.2 us per value there, against
+# 100 us plus 0.7 (CSV) to 0.9 (JSON) us per value cell by cell, so whole
+# tables break even near 254 rows in CSV and 220 in JSON
+_MATRIX_ROWS = 240  # between the two
 
 
-# a grid's far corners underflow to exact zeros, most of the cells of some grids:
-# map them without reading the text back
-_ZEROS = {"0": "0.0", "-0": "-0.0"}
+def _not_finite(name: str, values) -> NumericIntegrityError:
+    x = float(next(x for x in values if not abs(x) <= _LARGEST_WRITTEN))
+    return NumericIntegrityError(f"value {x!r} in {name} is not finite at 15 significant digits")
 
 
 def _floats(name: str, values: np.ndarray) -> np.ndarray:
     """values as doubles; refuses NaN, Inf and a finite value that rounds to Inf."""
     values = values.astype(float, copy=False)
-    finite = np.abs(values) <= _LARGEST_WRITTEN
-    if not finite.all():
-        raise NumericIntegrityError(
-            f"value {values[~finite][0]!r} in {name} is not finite at 15 significant digits")
+    if not (np.abs(values) <= _LARGEST_WRITTEN).all():
+        raise _not_finite(name, values)
     return values
 
 
-def _text_cells(name: str, values) -> list[str]:
+def _text_cells(name: str, values: list | tuple | np.ndarray) -> list[str]:
     """Cells of one column as written: ints as they are, floats at 15 significant digits.
 
-    A float cell is repr(float(f"{x:.15g}")), made by one %.15g pass; only a
+    A list or tuple is written in plain Python, all ints as ints, else each
+    cell through float() as numpy promotes it; an array through numpy. A
+    float cell is repr(float(f"{x:.15g}")), made by one %.15g pass; only a
     text the cheap test below cannot vouch for is read back. Formats position
-    by position, never by value, so -0.0 stays -0.0. Refuses NaN, Inf and a
-    finite value that rounds to Inf. Tables of fewer than _MATRIX_ROWS rows
-    are written from these texts; larger ones from _text_matrix, which calls
-    this only for its int columns and for the few floats it leaves.
+    by position, so -0.0 stays -0.0. Refuses NaN, Inf and a finite value that
+    rounds to Inf. Tables of at least _MATRIX_ROWS rows go through
+    _text_matrix, which calls this only for int columns and the floats it leaves.
     """
-    values = np.asarray(values)
-    if values.dtype.kind in "iu":
+    if isinstance(values, (list, tuple)):
+        if all(type(x) is int for x in values):
+            return list(map(repr, values))
+        values = [float(x) for x in values]
+        if not all(abs(x) <= _LARGEST_WRITTEN for x in values):
+            raise _not_finite(name, values)
+    elif values.dtype.kind in "iu":
         return list(map(repr, values.tolist()))
-    values = _floats(name, values)
+    else:
+        values = _floats(name, values).tolist()
     # a 15-digit text is the repr of the double it reads back as, except that
     # repr adds ".0" to an integral text, writes exponent 15 positionally and
     # may need fewer digits for a subnormal (the test sends back every e-3xx).
     # One pass binds t per cell: a separate list of raw texts raised the peak
     # RSS of a 601^2 grid request by about 18 MB.
     return [t if ("." in t or "e" in t) and t[-4:] != "e+15" and t[-5:-2] != "e-3"
-            else _ZEROS.get(t) or repr(float(t))
-            for x in values.tolist() for t in ("%.15g" % x,)]
+            else repr(float(t))
+            for x in values for t in ("%.15g" % x,)]
 
 
 def _byte_rows(texts: list[str], width: int = 0) -> np.ndarray:
@@ -522,13 +527,18 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
         return
-    path = Path(output)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = output + ".tmp"
+    data = memoryview(text.encode())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
     try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
+        try:
+            while data:
+                data = data[os.write(fd, data):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, output)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 

@@ -699,6 +699,44 @@ class TestErrorPaths:
         code = cli.main(["boost", "--eta", "1",
                          "--output", str(tmp_path / "missing" / "out.csv")])
         assert code == 1
+        assert capsys.readouterr().err.startswith("covosc: error:")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_keeps_the_target(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "b.csv"
+        target.write_bytes(b"earlier bytes\n")
+
+        def refuse(src, dst):
+            raise OSError(f"cannot rename {src} to {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert cli.main(["boost", "--eta", "1", "-o", str(target)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("covosc: error: cannot rename")
+        assert target.read_bytes() == b"earlier bytes\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["b.csv"]
+
+    def test_short_writes_are_resumed(self, tmp_path, monkeypatch):
+        argv = ["marginal", "--eta", "0.5", "--format", "json"]
+        _, want = run_cli(argv, tmp_path, "whole.json")
+        sizes = []
+        write = os.write
+
+        def at_most_7_bytes(fd, data):
+            sizes.append(write(fd, data[:7]))
+            return sizes[-1]
+
+        monkeypatch.setattr(cli.os, "write", at_most_7_bytes)
+        code, got = run_cli(argv, tmp_path, "short.json")
+        monkeypatch.undo()
+        assert code == 0
+        assert got.read_bytes() == want.read_bytes()
+        assert len(sizes) == -(-len(want.read_bytes()) // 7)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["short.json", "whole.json"]
+        # the mode open() gives a new file: 0o666 less the umask
+        reference = tmp_path / "reference"
+        reference.write_text("")
+        assert got.stat().st_mode == reference.stat().st_mode
 
     def test_numeric_integrity_exit_code(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(closed_forms, "ground_widths",
@@ -754,6 +792,14 @@ class TestErrorPaths:
         assert capsys.readouterr().err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["somedir"]
         assert not any(target.iterdir())
+
+    @pytest.mark.parametrize("output", [".", ""])
+    def test_output_without_a_file_name_exits_1(self, output, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["boost", "--eta=0.5", "-o", output]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("covosc: error:")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("etas", ["1,,2", "1,2,", ",1", " , "])
     def test_empty_rapidity_item_exits_1(self, etas, tmp_path, capsys):
@@ -1007,8 +1053,58 @@ class TestColumnRendering:
         bits = np.random.default_rng(1015).integers(0, 2**64, 200_000, dtype=np.uint64)
         values = bits.view(float)
         values = values[np.abs(values) < 1e308]
-        assert cli._text_cells("x", values) == [
-            text_cell(quantize_cell(v)) for v in values.tolist()]
+        want = [text_cell(quantize_cell(v)) for v in values.tolist()]
+        assert cli._text_cells("x", values) == want
+        # the plain-Python path of list and tuple columns
+        assert cli._text_cells("x", values.tolist()) == want
+        assert cli._text_cells("x", tuple(values.tolist())) == want
+
+    @pytest.mark.parametrize("column, want", [
+        ([0, -3, 2**62], ["0", "-3", "4611686018427387904"]),
+        ((7,), ["7"]),
+        ([1, 2.5], ["1.0", "2.5"]),
+        ((-0.0, 0.0, -5e-324, 1e15), ["-0.0", "0.0", "-5e-324", "1000000000000000.0"]),
+        ([True, False], ["1.0", "0.0"]),
+        ([True, 0.1], ["1.0", "0.1"]),
+        (tuple(np.array([0.1, -2e-310, 1e16])), ["0.1", "-2e-310", "1e+16"]),
+        ([], []),
+    ], ids=repr)
+    def test_python_sequences_match_the_array_path(self, column, want):
+        assert cli._text_cells("x", column) == want
+        assert cli._text_cells("x", np.array(column)) == want
+
+    @pytest.mark.parametrize("bad, text", [(math.nan, "nan"), (-math.inf, "-inf"),
+                                           (1.7976931348623151e308, "1.7976931348623151e+308")])
+    @pytest.mark.parametrize("matrices", [False, True], ids=["cells", "matrices"])
+    def test_non_finite_diagnostic_names_the_float(self, bad, text, matrices, monkeypatch, capsys):
+        run = cli._per_rapidity("eta,psi", lambda eta: (eta, bad if eta > 0 else 1.0))
+        monkeypatch.setitem(cli._COMMANDS, "boost", cli._COMMANDS["boost"]._replace(run=run))
+        if matrices:
+            monkeypatch.setattr(cli, "_MATRIX_ROWS", 1)
+        assert cli.main(["boost", "--etas", "0,0.5"]) == 2
+        reason = f"value {text} in psi is not finite at 15 significant digits"
+        assert capsys.readouterr().err == f"covosc: numeric integrity: {reason}\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["boost", "--eta", "0.7"],
+        ["boost", "--etas", "0,-1.5,3"],
+        ["overlap", "--etas", "0,0.5,-2", "--n-z", "2"],
+        ["parton-scan", "--etas", "0,1,50"],
+        ["entropy-scan", "--etas", "0,0.5,4"],
+    ], ids=" ".join)
+    def test_closed_form_requests_call_no_numpy(self, argv, fmt, tmp_path):
+        class Unusable:
+            def __getattr__(self, name):
+                raise AssertionError(f"cli used numpy: {name}")
+
+        argv = argv + ["--format", fmt]
+        _, want = run_cli(argv, tmp_path, "with.out")
+        with mock.patch.object(cli, "np", Unusable()), \
+                mock.patch.object(cli, "_textmatrix", Unusable()):
+            code, got = run_cli(argv, tmp_path, "without.out")
+        assert code == 0
+        assert got.read_bytes() == want.read_bytes()
 
     def test_million_doubles_through_byte_matrices_match_the_oracle(self):
         rng = np.random.default_rng(2027)
